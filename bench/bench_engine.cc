@@ -64,7 +64,7 @@ void PrintTable() {
                      .count();
         bound = r.log2_bound;
       }
-      if (n <= 6) {  // the dense-tableau cutting plane wall (see engine.h)
+      if (n <= 8) {
         EngineOptions cuts;
         cuts.full_lattice_max_n = 3;
         auto t0 = std::chrono::steady_clock::now();
@@ -88,7 +88,7 @@ void PrintTable() {
                   rounds);
     }
   }
-  std::printf("(times in seconds; -1 = skipped: full lattice too large)\n\n");
+  std::printf("(times in seconds; -1 = skipped: LP too large at this n)\n\n");
 }
 
 void BM_GammaFullLattice(benchmark::State& state) {

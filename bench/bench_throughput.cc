@@ -10,18 +10,17 @@
 //   * batch  — the advisor's batched what-if path: per template, one
 //              statistics assembly + structure lookup + per-bound lock for
 //              a whole block of value vectors, re-priced through the LP
-//              backend's multi-RHS resolve (EstimateLog2Batch);
+//              solver's multi-RHS resolve (EstimateLog2Batch);
 //   * warm + value jitter — the statistics change between calls, so each
 //              evaluation re-prices (and occasionally re-solves) rather
 //              than hitting an unchanged optimum.
 // The table reports the speedups and the advisor's witness/warm/cold
-// counters, making the pipeline's cache behavior observable. The warm and
-// batch regimes run once per LP backend (dense tableau vs revised simplex,
-// see lp/tableau.h), so the table doubles as the perf gate on the revised
-// backend's witness and block re-pricing paths.
+// counters, making the pipeline's cache behavior observable, and doubles
+// as the perf gate on the simplex's witness and block re-pricing paths
+// (lp/tableau.h).
 //
 // A second, pivot-count workload complements the throughput regimes: the
-// fixed-seed cutting-plane Γn compile at n = 8 (the revised backend's
+// fixed-seed cutting-plane Γn compile at n = 8 (the revised simplex's
 // flagship LP) runs warm-append and cold-growth lanes under both pricing
 // rules (Dantzig and Devex, lp/revised_simplex.h) and reports total
 // simplex pivots, basis refactorizations, and the warm row-append
@@ -34,8 +33,8 @@
 // are what make that compile take seconds rather than minutes, and the
 // gate pins its pivot count plus a loose wall-clock ceiling. A
 // cutting-plane batch regime (shared cut pool + multi-RHS resolve vs the
-// scalar evaluate sequence, steady state) rounds out the table; the
-// revised lane's batch/scalar ratio is gated at >= 2x.
+// scalar evaluate sequence, steady state) rounds out the table; its
+// batch/scalar ratio is gated at >= 2x.
 //
 // An optimizer regime closes the loop on the motivating application
 // (src/optimizer/): full DPsize join ordering per JOB template, reported
@@ -54,9 +53,9 @@
 // pivot-count regression >15%, devex needing more than
 // --max-devex-ratio of the cold dantzig lane's pivots, warm appends
 // needing more than --max-warm-cold-ratio of the cold-growth pivots, a
-// gamma_n10 compile over the wall-clock ceiling, or the revised cut
-// batch under --min-cut-batch-ratio of its scalar rate; raw est/s is
-// informational (machine-dependent) unless --strict-absolute.
+// gamma_n10 compile over the wall-clock ceiling, or the cut batch under
+// --min-cut-batch-ratio of its scalar rate; raw est/s is informational
+// (machine-dependent) unless --strict-absolute.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -93,6 +92,9 @@ namespace {
 // Value vectors per template in the batch regime — the scale of one
 // optimizer what-if burst against one structure.
 constexpr int kBatchSize = 64;
+
+// The LP solver's name: the key of every LP lane in the JSON artifact.
+const char* const kBackend = LpBackendName(LpBackendKind::kRevised);
 
 // Every timed regime keeps sweeping the workload until it has measured at
 // least this long — sub-50ms samples swing 2x run to run, which no perf
@@ -143,7 +145,7 @@ double Seconds(std::chrono::steady_clock::time_point t0) {
 }
 
 struct RegimeRun {
-  const char* backend;  // short name, reused by the JSON artifact
+  const char* backend = kBackend;  // reused by the JSON artifact
   const char* label;
   double est_per_s = 0.0;
   double speedup = 0.0;     // vs the cold regime
@@ -152,8 +154,8 @@ struct RegimeRun {
   uint64_t witness = 0, warm = 0, cold = 0;
   // LP work behind the regime (AdvisorMetrics deltas): simplex pivots and
   // basis refactorizations. The warm regime's refactorizations-per-resolve
-  // is the Forrest–Tomlin acceptance metric — the eta-file scheme
-  // refactorized every 32 updates, FT carries 64 plus a fill budget.
+  // is the Forrest–Tomlin acceptance metric — FT carries 64 updates plus a
+  // fill budget between refactorizations.
   uint64_t pivots = 0, refactorizations = 0;
   // Per-kernel call/cycle table (lp/kernels.h), collected in ONE extra
   // workload sweep with cycle timing on — the timed measurement above runs
@@ -198,14 +200,12 @@ void FillLpWork(RegimeRun& run, const AdvisorMetrics& before,
       after.lp_refactorizations - before.lp_refactorizations;
 }
 
-// Warm regime for one LP backend: full advisor path (statistics lookup +
-// compiled evaluate) over the whole template workload, one call at a time.
-RegimeRun MeasureWarm(LpBackendKind backend, const char* label, int repeats,
+// Warm regime: full advisor path (statistics lookup + compiled evaluate)
+// over the whole template workload, one call at a time.
+RegimeRun MeasureWarm(const char* label, int repeats,
                       const std::vector<double>& expected) {
   JobWorkload& wl = Workload();
-  AdvisorOptions opt;
-  opt.engine.simplex.backend = backend;
-  CardinalityAdvisor advisor(wl.catalog, opt);
+  CardinalityAdvisor advisor(wl.catalog);
   const size_t m = wl.queries.size();
   for (const Query& q : wl.queries) advisor.EstimateLog2(q);  // compile
 
@@ -227,7 +227,6 @@ RegimeRun MeasureWarm(LpBackendKind backend, const char* label, int repeats,
   } while (sweeps < repeats || secs < kMinMeasureSeconds);
   const AdvisorMetrics after = advisor.metrics();
   RegimeRun run;
-  run.backend = LpBackendName(backend);
   run.label = label;
   run.repeats = sweeps;
   run.est_per_s = static_cast<double>(sweeps) * m / secs;
@@ -240,19 +239,17 @@ RegimeRun MeasureWarm(LpBackendKind backend, const char* label, int repeats,
   return run;
 }
 
-// Batch regime for one LP backend: per template, one EstimateLog2Batch
+// Batch regime: per template, one EstimateLog2Batch
 // call re-pricing kBatchSize value vectors. With `jitter` false the block
 // carries the template's own statistics values — the same estimates the
 // warm regime serves one call at a time, so batch/warm is a direct
 // measure of what batching amortizes. With `jitter` true each vector
 // perturbs one statistic (a real what-if sweep), exercising per-column
 // witness validation and occasional warm re-solves.
-RegimeRun MeasureBatch(LpBackendKind backend, const char* label, int repeats,
+RegimeRun MeasureBatch(const char* label, int repeats,
                        const std::vector<double>& expected, bool jitter) {
   JobWorkload& wl = Workload();
-  AdvisorOptions opt;
-  opt.engine.simplex.backend = backend;
-  CardinalityAdvisor advisor(wl.catalog, opt);
+  CardinalityAdvisor advisor(wl.catalog);
   const size_t m = wl.queries.size();
 
   // Per-template batches: the real values, each vector optionally with a
@@ -292,7 +289,6 @@ RegimeRun MeasureBatch(LpBackendKind backend, const char* label, int repeats,
   } while (sweeps < repeats || secs < kMinMeasureSeconds);
   const AdvisorMetrics after = advisor.metrics();
   RegimeRun run;
-  run.backend = LpBackendName(backend);
   run.label = label;
   run.batch_size = kBatchSize;
   run.repeats = sweeps;
@@ -352,16 +348,11 @@ GammaRun MeasureGammaPivots(PricingRule rule, const char* label, int n,
         GammaStats(12345 ^ seed, n, stat_count);
     EngineOptions cut;
     cut.full_lattice_max_n = 4;  // force cutting-plane mode
-    cut.simplex.backend = LpBackendKind::kRevised;
     cut.simplex.pricing = rule;
-    // Pin the update scheme and the cut warm start too: a stray
-    // LPB_LP_UPDATE=eta or LPB_LP_CUT_WARM=0 in the runner environment
-    // must not skew the CI-gated counters off the path the baseline was
-    // recorded from. The *_cold lanes pin kOff instead: they measure the
-    // recompile-per-round growth loop, where column pricing still
-    // differentiates the rules (warm appends repair via dual simplex, so
-    // the warm lanes pivot identically under either rule).
-    cut.simplex.basis_update = BasisUpdateKind::kForrestTomlin;
+    // The *_cold lanes pin kOff: they measure the recompile-per-round
+    // growth loop, where column pricing still differentiates the rules
+    // (warm appends repair via dual simplex, so the warm lanes pivot
+    // identically under either rule).
     cut.simplex.cut_warm_start = warm_start;
     auto compiled =
         FindBoundEngine("gamma")->Compile(StructureOf(n, stats), cut);
@@ -397,33 +388,29 @@ GammaRun MeasureGammaPivots(PricingRule rule, const char* label, int n,
 // Cutting-plane batch regime: one compiled Γn cutting bound in steady state
 // (cut pool converged), a block of jittered value vectors — scalar Evaluate
 // per vector vs one EvaluateBatch riding the shared cut pool and the
-// multi-RHS resolve. The revised lane is the gated one: its block resolve
-// amortizes the factorization and cached-duals reads across witness-valid
-// columns; the dense backend's batch resolve is a sequential loop, so its
-// ratio is informational.
+// multi-RHS resolve. The block resolve amortizes the factorization and
+// cached-duals reads across witness-valid columns; its batch/scalar ratio
+// is gated.
 
 struct CutBatchRun {
-  const char* backend;
+  const char* backend = kBackend;
   double scalar_per_s = 0.0;
   double batch_per_s = 0.0;
   int batch_size = kBatchSize;
   int repeats = 0;
 };
 
-CutBatchRun MeasureCutBatch(LpBackendKind backend) {
+CutBatchRun MeasureCutBatch() {
   const int n = 7;
-  // Wider than the JOB-regime kBatchSize: the revised backend's relaxed
-  // block resolve pays one pivot episode per *distinct optimal basis* in
-  // the block (not per column), so a larger block amortizes the episode,
-  // the post-episode re-seed, and the block's one full FTRAN re-price
-  // over more witness-served columns.
+  // Wider than the JOB-regime kBatchSize: the relaxed block resolve pays
+  // one pivot episode per *distinct optimal basis* in the block (not per
+  // column), so a larger block amortizes the episode, the post-episode
+  // re-seed, and the block's one full FTRAN re-price over more
+  // witness-served columns.
   constexpr int kCutBlock = 512;
   const std::vector<ConcreteStatistic> stats = GammaStats(0xabcdull, n, 10);
   EngineOptions cut;
   cut.full_lattice_max_n = 4;  // force cutting-plane mode
-  cut.simplex.backend = backend;
-  cut.simplex.basis_update = BasisUpdateKind::kForrestTomlin;
-  cut.simplex.cut_warm_start = CutWarmStart::kOn;
   const BoundStructure structure = StructureOf(n, stats);
   const BoundEngine* engine = FindBoundEngine("gamma");
   auto scalar_bound = engine->Compile(structure, cut);
@@ -447,7 +434,6 @@ CutBatchRun MeasureCutBatch(LpBackendKind backend) {
   benchmark::DoNotOptimize(batch_bound->EvaluateBatch(batch, false).data());
 
   CutBatchRun run;
-  run.backend = LpBackendName(backend);
   run.batch_size = kCutBlock;
   int sweeps = 0;
   double secs = 0.0;
@@ -494,7 +480,7 @@ CutBatchRun MeasureCutBatch(LpBackendKind backend) {
 // a ~1000-request batch into ~33 distinct evaluations (dedup_factor).
 
 struct ServeRun {
-  const char* backend;
+  const char* backend = kBackend;
   int clients = 0;
   int workers = 0;
   int pipeline = 0;
@@ -516,15 +502,12 @@ struct ServeRun {
   uint64_t invalidations = 0;
 };
 
-ServeRun MeasureServe(LpBackendKind backend, double warm_rate) {
+ServeRun MeasureServe(double warm_rate) {
   JobWorkload& wl = Workload();
-  AdvisorOptions opt;
-  opt.engine.simplex.backend = backend;
-  CardinalityAdvisor advisor(wl.catalog, opt);
+  CardinalityAdvisor advisor(wl.catalog);
   for (const Query& q : wl.queries) advisor.EstimateLog2(q);  // compile
 
   ServeRun run;
-  run.backend = LpBackendName(backend);
   run.clients = 16;
   run.pipeline = 128;
   AdvisorServiceOptions sopt;
@@ -616,13 +599,13 @@ ServeRun MeasureServe(LpBackendKind backend, double warm_rate) {
 // deterministic (connectivity-driven, independent of estimate values), so
 // compare_throughput.py gates probe and batch counts with zero tolerance:
 // a probe-count explosion means the one-batch-per-DP-level discipline
-// broke. The bound lanes run once per LP backend; the advisor-side batch
-// counters double-check the discipline from the advisor's side
-// (advisor_batch_calls must equal the optimizer's own batch_calls).
+// broke. On the bound lane the advisor-side batch counters double-check
+// the discipline from the advisor's side (advisor_batch_calls must equal
+// the optimizer's own batch_calls).
 
 struct OptimizerRun {
   const char* model;    // "bound" or "traditional"
-  const char* backend;  // LP backend for the bound lanes, "-" otherwise
+  const char* backend;  // the LP solver for the bound lane, "-" otherwise
   double plans_per_s = 0.0;
   int repeats = 0;
   size_t queries = 0;
@@ -638,12 +621,10 @@ struct OptimizerRun {
   uint64_t witness = 0, warm = 0, cold = 0;
 };
 
-OptimizerRun MeasureOptimizer(bool bound_model, LpBackendKind backend,
-                              const char* model_label, int repeats) {
+OptimizerRun MeasureOptimizer(bool bound_model, const char* model_label,
+                              int repeats) {
   JobWorkload& wl = Workload();
-  AdvisorOptions aopt;
-  aopt.engine.simplex.backend = backend;
-  CardinalityAdvisor advisor(wl.catalog, aopt);
+  CardinalityAdvisor advisor(wl.catalog);
   AdvisorCardinalityModel advisor_model(advisor);
   TraditionalCardinalityModel trad_model(wl.catalog);
   CardinalityModel& model =
@@ -657,7 +638,7 @@ OptimizerRun MeasureOptimizer(bool bound_model, LpBackendKind backend,
 
   OptimizerRun run;
   run.model = model_label;
-  run.backend = bound_model ? LpBackendName(backend) : "-";
+  run.backend = bound_model ? kBackend : "-";
   run.queries = wl.queries.size();
 
   // One untimed sweep: warms the advisor's compiled-bound caches (the
@@ -860,32 +841,25 @@ void PrintTable() {
   const double cold_rate = n_est / cold_s;
 
   std::vector<RegimeRun> warm_runs = {
-      MeasureWarm(LpBackendKind::kDense, "warm dense", kRepeats, expected),
-      MeasureWarm(LpBackendKind::kRevised, "warm revised", kRepeats,
-                  expected),
+      MeasureWarm("warm revised", kRepeats, expected),
   };
   // Fewer repeats for the batch regimes: each repeat serves
   // kBatchSize x the estimates.
   const int batch_repeats = std::max(1, kRepeats / 4);
   std::vector<RegimeRun> batch_runs = {
-      MeasureBatch(LpBackendKind::kDense, "batch dense", batch_repeats,
-                   expected, /*jitter=*/false),
-      MeasureBatch(LpBackendKind::kRevised, "batch revised", batch_repeats,
-                   expected, /*jitter=*/false),
+      MeasureBatch("batch revised", batch_repeats, expected,
+                   /*jitter=*/false),
   };
   std::vector<RegimeRun> jitter_runs = {
-      MeasureBatch(LpBackendKind::kDense, "batch dense what-if",
-                   batch_repeats, expected, /*jitter=*/true),
-      MeasureBatch(LpBackendKind::kRevised, "batch revised what-if",
-                   batch_repeats, expected, /*jitter=*/true),
+      MeasureBatch("batch revised what-if", batch_repeats, expected,
+                   /*jitter=*/true),
   };
   for (RegimeRun& run : warm_runs) run.speedup = run.est_per_s / cold_rate;
   for (RegimeRun& run : batch_runs) run.speedup = run.est_per_s / cold_rate;
   for (RegimeRun& run : jitter_runs) run.speedup = run.est_per_s / cold_rate;
 
   // Pivot-count workload: the fixed-seed Γn cutting-plane compile at
-  // n = 8, once per pricing rule (pinned, so LPB_LP_PRICING cannot skew
-  // the dantzig baseline lane).
+  // n = 8, once per pricing rule.
   std::vector<GammaRun> gamma_runs = {
       MeasureGammaPivots(PricingRule::kDantzig, "dantzig", 8,
                          {0x5151ull, 0x1234ull, 0x9999ull}, 12),
@@ -910,28 +884,17 @@ void PrintTable() {
   };
   // Cutting-plane batch regime: shared cut pool + multi-RHS resolve vs the
   // scalar evaluate sequence, steady state.
-  std::vector<CutBatchRun> cut_batch_runs = {
-      MeasureCutBatch(LpBackendKind::kDense),
-      MeasureCutBatch(LpBackendKind::kRevised),
-  };
+  std::vector<CutBatchRun> cut_batch_runs = {MeasureCutBatch()};
   // Serve regime: 16 clients x pipelined single estimates through the
   // AdvisorService; warm_ratio divides by the same-process warm regime
   // above, so the gate is machine-independent.
-  std::vector<ServeRun> serve_runs = {
-      MeasureServe(LpBackendKind::kDense, warm_runs[0].est_per_s),
-      MeasureServe(LpBackendKind::kRevised, warm_runs[1].est_per_s),
-  };
-  // Optimizer regime: full DPsize join ordering per template. The bound
-  // lanes run once per LP backend; the traditional lane is the
-  // no-LP-at-all comparison point.
+  std::vector<ServeRun> serve_runs = {MeasureServe(warm_runs[0].est_per_s)};
+  // Optimizer regime: full DPsize join ordering per template. The
+  // traditional lane is the no-LP-at-all comparison point.
   const int optimizer_repeats = std::max(1, kRepeats / 10);
   std::vector<OptimizerRun> optimizer_runs = {
-      MeasureOptimizer(true, LpBackendKind::kDense, "bound",
-                       optimizer_repeats),
-      MeasureOptimizer(true, LpBackendKind::kRevised, "bound",
-                       optimizer_repeats),
-      MeasureOptimizer(false, LpBackendKind::kDense, "traditional",
-                       optimizer_repeats),
+      MeasureOptimizer(true, "bound", optimizer_repeats),
+      MeasureOptimizer(false, "traditional", optimizer_repeats),
   };
   const PlanQuality plan_quality = MeasurePlanQuality();
 

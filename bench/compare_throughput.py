@@ -11,24 +11,22 @@ Usage:
 Fails (exit 1) when
   * any warm or batch regime's *cold-normalized* estimates/s (the JSON's
     "speedup" field: est/s divided by the same run's cold est/s) falls
-    more than --tolerance below the baseline's for the same backend, or
+    more than --tolerance below the baseline's, or
   * the batch regime serves fewer than --min-batch-speedup times the
-    scalar warm regime's estimates/s on either backend (the batch
-    evaluation acceptance bar), or
+    scalar warm regime's estimates/s (the batch evaluation acceptance
+    bar), or
   * a gamma_n8 or gamma_n10 pricing lane's total simplex pivot count
     grows more than --pivot-tolerance above its baseline (the fixed-seed
     cutting-plane Γn compiles — pivot counts are deterministic per seed,
-    so this gates the revised backend's iteration count, not wall-clock;
-    the n = 10 lane additionally carries a deliberately generous
+    so this gates the simplex's iteration count, not wall-clock; the
+    n = 10 lane additionally carries a deliberately generous
     wall-clock ceiling, --gamma-n10-max-seconds, because that compile
     took minutes before warm row appends and the ceiling catches a
     wholesale fallback to cold re-solves even on a slow runner), or
-  * the revised backend's cutting-plane batch regime (gamma_cut_batch)
-    serves fewer than --min-cut-batch-ratio times its own scalar
-    evaluate-sequence rate — both rates come from the same process, so
-    the ratio is machine-independent; the dense backend's ratio is
-    printed for visibility only (its batch path is the row-reuse
-    fallback, not the shared-pool resolve), or
+  * the cutting-plane batch regime (gamma_cut_batch) serves fewer than
+    --min-cut-batch-ratio times its own scalar evaluate-sequence rate —
+    both rates come from the same process, so the ratio is
+    machine-independent, or
   * a serve lane (the AdvisorService admission-batching regime: 16
     client threads x pipelined single estimates with invalidation churn)
     aggregates fewer than --min-serve-speedup times the same-process
@@ -43,8 +41,8 @@ Fails (exit 1) when
     its norm-cache hit rate falls below --min-norm-hit-rate (the Zipf
     template mix repeats keys; a cold cache here means batched assembly
     stopped reusing the store), or its warm_ratio falls more than
-    --tolerance below the baseline's for the same backend (skipped with
-    a note when the baseline predates the serve section), or any
+    --tolerance below the baseline's (skipped with a note when the
+    baseline predates the serve section), or any
     requests were rejected (shutdown races the measured window), or
   * the devex_cold lane needs more than --max-devex-ratio of the
     dantzig_cold lane's pivots (the Devex pricing acceptance bar:
@@ -131,8 +129,8 @@ def main():
                              "(generous: ~0.5s on the dev box; minutes means "
                              "warm row appends fell back to cold re-solves)")
     parser.add_argument("--min-cut-batch-ratio", type=float, default=2.0,
-                        help="required batch/scalar ratio for the revised "
-                             "backend's cutting-plane batch regime")
+                        help="required batch/scalar ratio for the "
+                             "cutting-plane batch regime")
     parser.add_argument("--min-serve-speedup", type=float, default=3.0,
                         help="required serve/warm aggregate throughput ratio "
                              "(16 clients vs single-threaded scalar warm)")
@@ -450,19 +448,15 @@ def main():
                     f"exceeds {rival} {rival_sum} on the JOB scoring set")
 
     # Cutting-plane batch regime: the shared-pool multi-RHS resolve must
-    # beat the scalar evaluate sequence on the revised backend. Both rates
-    # are measured in the same process, so the ratio travels across
-    # runners. Dense is informational: its batch path is the row-reuse
-    # fallback, and the shared pool only helps it amortize separation.
+    # beat the scalar evaluate sequence. Both rates are measured in the
+    # same process, so the ratio travels across runners.
     for run in new.get("gamma_cut_batch", []):
         backend = run["backend"]
         ratio = (run["batch_est_per_s"] / run["scalar_est_per_s"]
                  if run["scalar_est_per_s"] > 0 else float("inf"))
-        gated = backend == "revised"
-        tag = "" if gated else " (info)"
-        print(f"{'cut batch/scalar ' + backend + tag:<34} "
+        print(f"{'cut batch/scalar ' + backend:<34} "
               f"{'':>12} {'':>12} {ratio:>7.2f}x")
-        if gated and ratio < args.min_cut_batch_ratio:
+        if ratio < args.min_cut_batch_ratio:
             failures.append(
                 f"gamma_cut_batch/{backend}: batch only {ratio:.2f}x the "
                 f"scalar sequence (need >= {args.min_cut_batch_ratio:.1f}x)")

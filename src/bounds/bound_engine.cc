@@ -111,12 +111,11 @@ bool AllNonNegative(const std::vector<double>& values) {
 // recession cone {h feasible-direction : stats-lhs(h) <= 0}, which does not
 // depend on the RHS. Any later value vector with log_b >= 0 keeps the
 // origin feasible, so the LP stays unbounded — no solve needed.
-BoundResult StructurallyUnboundedResult(LpBackendKind backend) {
+BoundResult StructurallyUnboundedResult() {
   BoundResult out;
   out.status = LpStatus::kUnbounded;
   out.log2_bound = kInfNorm;
   out.eval_path = LpEvalPath::kWitness;
-  out.lp_backend = backend;
   return out;
 }
 
@@ -127,7 +126,6 @@ BoundResult MakeGammaResult(const LpResult& lp, int n, int num_stats,
   result.cut_rounds = cut_rounds;
   result.lp_iterations = lp.iterations;
   result.eval_path = lp.path;
-  result.lp_backend = lp.backend;
   result.lp_pricing = lp.pricing;
   result.lp_stats = lp.stats;
   if (lp.status == LpStatus::kUnbounded) {
@@ -186,7 +184,7 @@ std::vector<BoundResult> BatchThroughTableau(
   size_t i = 0;
   while (i < batch.size()) {
     if (structurally_unbounded && AllNonNegative(batch[i])) {
-      out[i++] = StructurallyUnboundedResult(tableau.backend());
+      out[i++] = StructurallyUnboundedResult();
       continue;
     }
     size_t run_size = 0;
@@ -203,7 +201,7 @@ std::vector<BoundResult> BatchThroughTableau(
     bool flipped_mid_run = false;
     for (size_t k = 0; k < lps.size(); ++k) {
       if (flipped_mid_run && AllNonNegative(batch[i + k])) {
-        out[i + k] = StructurallyUnboundedResult(tableau.backend());
+        out[i + k] = StructurallyUnboundedResult();
         continue;
       }
       out[i + k] = finalize(lps[k]);
@@ -229,8 +227,8 @@ std::vector<BoundResult> BatchThroughTableau(
 // incremental row append (SimplexTableau::AddConstraintsWarm) — new rows
 // enter with their slacks basic on top of the previous round's optimal
 // basis and dual simplex repairs only the violated rows — falling back to
-// a cold recompile + two-phase solve when the backend declines or warm
-// starts are off (SimplexOptions::cut_warm_start / LPB_LP_CUT_WARM=0).
+// a cold recompile + two-phase solve when the tableau declines or warm
+// starts are off (SimplexOptions::cut_warm_start = kOff).
 // Warm and cold rounds converge to the same bound: both stop only when no
 // compiled-pool-missing cut separates the optimum, and each round's LP is
 // the same finite LP family member. Batches share the pool: converged
@@ -272,10 +270,9 @@ class CompiledGammaBound : public CompiledBound {
       scan_table_ = BuildShannonScanTable(n);
     }
     // The tableau owns the factorized basis that witness re-pricing and
-    // warm dual-simplex re-solves run against; with the revised backend
-    // that is the LU factorization plus eta file of lp/lu_basis.h, so a
-    // witness evaluation is one FTRAN (BTRAN only on basis changes), not a
-    // dense objective-row read.
+    // warm dual-simplex re-solves run against: the LU factorization plus
+    // Forrest–Tomlin updates of lp/lu_basis.h, so a witness evaluation is
+    // one FTRAN (BTRAN only on basis changes).
     tableau_.emplace(lp_, options_.simplex);
   }
 
@@ -284,7 +281,7 @@ class CompiledGammaBound : public CompiledBound {
                            bool want_h_opt) override {
     const int n = structure_.n;
     if (structurally_unbounded_ && AllNonNegative(log_b)) {
-      return StructurallyUnboundedResult(tableau_->backend());
+      return StructurallyUnboundedResult();
     }
 
     std::vector<double> rhs(lp_.num_constraints(), 0.0);
@@ -308,11 +305,9 @@ class CompiledGammaBound : public CompiledBound {
       // warm row append — the new rows enter with their slacks basic on
       // top of the previous round's optimal basis, and dual simplex
       // repairs only the violated rows — and falls back to a cold
-      // recompile + two-phase solve when the backend declines (or when
-      // warm starts are disabled via SimplexOptions::cut_warm_start /
-      // LPB_LP_CUT_WARM=0).
-      const bool warm =
-          ResolveCutWarmStart(options_.simplex) == CutWarmStart::kOn;
+      // recompile + two-phase solve when the tableau declines (or when
+      // warm starts are disabled via SimplexOptions::cut_warm_start).
+      const bool warm = options_.simplex.cut_warm_start == CutWarmStart::kOn;
       while (rounds < options_.max_cut_rounds &&
              lp_result.status == LpStatus::kOptimal) {
         // Pre-check first: a clean table scan proves the exact scan would
@@ -417,7 +412,7 @@ class CompiledGammaBound : public CompiledBound {
     size_t i = 0;
     while (i < log_b_batch.size()) {
       if (structurally_unbounded_ && AllNonNegative(log_b_batch[i])) {
-        out[i++] = StructurallyUnboundedResult(tableau_->backend());
+        out[i++] = StructurallyUnboundedResult();
         continue;
       }
       // Gather the maximal run of columns the structural shortcut cannot
@@ -539,7 +534,7 @@ class CompiledNormalBound : public CompiledBound {
   BoundResult EvaluateImpl(const std::vector<double>& log_b,
                            bool want_h_opt) override {
     if (structurally_unbounded_ && AllNonNegative(log_b)) {
-      return StructurallyUnboundedResult(tableau_.backend());
+      return StructurallyUnboundedResult();
     }
     BoundResult result = ResultFromLp(tableau_.ResolveWithRhs(log_b),
                                       want_h_opt);
@@ -566,7 +561,6 @@ class CompiledNormalBound : public CompiledBound {
     result.status = lp.status;
     result.lp_iterations = lp.iterations;
     result.eval_path = lp.path;
-    result.lp_backend = lp.backend;
     result.lp_pricing = lp.pricing;
     result.lp_stats = lp.stats;
     if (lp.status == LpStatus::kUnbounded) {

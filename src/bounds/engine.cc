@@ -30,7 +30,6 @@ BoundResult MakeResult(const LpResult& lp, int n, int num_stats,
   result.status = lp.status;
   result.cut_rounds = cut_rounds;
   result.lp_iterations = lp.iterations;
-  result.lp_backend = lp.backend;
   result.lp_pricing = lp.pricing;
   result.lp_stats = lp.stats;
   if (lp.status == LpStatus::kUnbounded) {

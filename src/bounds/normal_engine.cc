@@ -47,7 +47,6 @@ NormalBoundResult NormalPolymatroidBound(
   NormalBoundResult result;
   result.base.status = lp_result.status;
   result.base.lp_iterations = lp_result.iterations;
-  result.base.lp_backend = lp_result.backend;
   result.base.lp_pricing = lp_result.pricing;
   result.base.lp_stats = lp_result.stats;
   if (lp_result.status == LpStatus::kUnbounded) {

@@ -243,10 +243,6 @@ void CardinalityAdvisor::RecordEval(const BoundResult& result) {
     lp_ft_updates_.fetch_add(static_cast<uint64_t>(stats.ft_updates),
                              std::memory_order_relaxed);
   }
-  if (stats.eta_updates > 0) {
-    lp_eta_updates_.fetch_add(static_cast<uint64_t>(stats.eta_updates),
-                              std::memory_order_relaxed);
-  }
   if (stats.devex_resets > 0) {
     lp_devex_resets_.fetch_add(static_cast<uint64_t>(stats.devex_resets),
                                std::memory_order_relaxed);
@@ -431,7 +427,7 @@ CardinalityAdvisor::Explanation CardinalityAdvisor::Explain(
   out.bound =
       EvaluateCompiled(query.num_vars(), out.stats, /*want_h_opt=*/true);
   out.metrics = metrics();
-  out.lp_backend = LpBackendName(out.bound.lp_backend);
+  out.lp_backend = LpBackendName(LpBackendKind::kRevised);
   return out;
 }
 
@@ -461,7 +457,6 @@ AdvisorMetrics CardinalityAdvisor::metrics() const {
   m.lp_refactorizations =
       lp_refactorizations_.load(std::memory_order_relaxed);
   m.lp_ft_updates = lp_ft_updates_.load(std::memory_order_relaxed);
-  m.lp_eta_updates = lp_eta_updates_.load(std::memory_order_relaxed);
   m.lp_devex_resets = lp_devex_resets_.load(std::memory_order_relaxed);
   m.lp_warm_cut_rounds = lp_warm_cut_rounds_.load(std::memory_order_relaxed);
   m.lp_dual_repair_pivots =

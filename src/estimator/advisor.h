@@ -22,7 +22,7 @@
 // for thousands of what-if estimates against the same compiled structure.
 // EstimateLog2Batch amortizes the per-call machinery — statistics
 // assembly, structure lookup, and the per-bound mutex are paid once per
-// batch, and the value vectors flow through the LP backend's multi-RHS
+// batch, and the value vectors flow through the LP solver's multi-RHS
 // resolve (one cached LU factorization, shared dual witness) instead of
 // one scalar cascade per probe.
 //
@@ -96,13 +96,12 @@ struct AdvisorMetrics {
   uint64_t norm_shard_locks = 0;
   // LP solver work behind the estimates, summed from BoundResult::lp_stats
   // (lp/simplex.h): simplex pivots across all phases, basis
-  // refactorizations, Forrest–Tomlin vs product-form eta updates taken,
-  // and Devex reference resets. bench_throughput surfaces these so the CI
+  // refactorizations, Forrest–Tomlin updates taken, and Devex reference
+  // resets. bench_throughput surfaces these so the CI
   // perf gate can assert on iteration counts, not just wall-clock.
   uint64_t lp_pivots = 0;
   uint64_t lp_refactorizations = 0;
   uint64_t lp_ft_updates = 0;
-  uint64_t lp_eta_updates = 0;
   uint64_t lp_devex_resets = 0;
   // Cut-growth accounting for the Γn cutting-plane engine: rounds whose new
   // cut rows were appended onto the live basis (vs rebuilt cold), the dual
@@ -164,9 +163,7 @@ class CardinalityAdvisor {
   // statistics it was computed from and a metrics snapshot taken after the
   // call — bound.eval_path says whether this particular estimate reused
   // the cached witness, warm-resolved, or solved cold, and lp_backend
-  // names the LP solver backend ("dense" or "revised", lp/tableau.h;
-  // selected via AdvisorOptions::engine.simplex.backend or
-  // LPB_LP_BACKEND) that served it.
+  // names the LP solver that served it ("revised", lp/tableau.h).
   struct Explanation {
     BoundResult bound;
     std::vector<ConcreteStatistic> stats;
@@ -255,7 +252,6 @@ class CardinalityAdvisor {
   std::atomic<uint64_t> lp_pivots_{0};
   std::atomic<uint64_t> lp_refactorizations_{0};
   std::atomic<uint64_t> lp_ft_updates_{0};
-  std::atomic<uint64_t> lp_eta_updates_{0};
   std::atomic<uint64_t> lp_devex_resets_{0};
   std::atomic<uint64_t> lp_warm_cut_rounds_{0};
   std::atomic<uint64_t> lp_dual_repair_pivots_{0};

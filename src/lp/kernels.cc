@@ -58,9 +58,9 @@ double DotScalar(const double* x, const double* y, int n) {
   return (s0 + s2) + (s1 + s3);
 }
 
-void NormalizeRhsScalar(const double* sign, const double* b, const double* term,
-                        double* out, int n) {
-  for (int i = 0; i < n; ++i) out[i] = sign[i] * b[i] + term[i];
+void NormalizeRhsScalar(const double* sign, const double* b, double* out,
+                        int n) {
+  for (int i = 0; i < n; ++i) out[i] = sign[i] * b[i];
 }
 
 bool EqualScalar(const double* x, const double* y, int n) {
@@ -112,20 +112,17 @@ __attribute__((target("avx2,fma"))) double DotAvx2(const double* x,
   return (s[0] + s[2]) + (s[1] + s[3]);
 }
 
-__attribute__((target("avx2,fma"))) void NormalizeRhsAvx2(const double* sign,
-                                                          const double* b,
-                                                          const double* term,
-                                                          double* out, int n) {
+__attribute__((target("avx2"))) void NormalizeRhsAvx2(const double* sign,
+                                                      const double* b,
+                                                      double* out, int n) {
   int i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256d vs = _mm256_loadu_pd(sign + i);
     const __m256d vb = _mm256_loadu_pd(b + i);
-    const __m256d vt = _mm256_loadu_pd(term + i);
-    // mul then add, two roundings — NOT fmadd, to stay bitwise-equal to
-    // the scalar sign[i]*b[i] + term[i].
-    _mm256_storeu_pd(out + i, _mm256_add_pd(_mm256_mul_pd(vs, vb), vt));
+    // One rounding per lane, exactly the scalar sign[i]*b[i].
+    _mm256_storeu_pd(out + i, _mm256_mul_pd(vs, vb));
   }
-  for (; i < n; ++i) out[i] = sign[i] * b[i] + term[i];
+  for (; i < n; ++i) out[i] = sign[i] * b[i];
 }
 
 __attribute__((target("avx2"))) bool EqualAvx2(const double* x,

@@ -1,11 +1,11 @@
-// Dense inner-loop kernels of the LP backends, with runtime SIMD dispatch.
+// Dense inner-loop kernels of the LP solver, with runtime SIMD dispatch.
 //
 // The batch estimate path is dominated by straight-line dense loops — RHS
-// normalization, B⁻¹ delta re-pricing, objective dots, pivot-row sweeps —
+// normalization, B⁻¹ delta re-pricing, objective dots, basic-value sweeps —
 // not by pivoting logic. This layer extracts those loops so they can be
 // (a) counted and cycle-timed per kernel (the perf gate pins a regression
-// to a kernel, not a backend), and (b) vectorized where the element type
-// allows it.
+// to a kernel, not a solver phase), and (b) vectorized where the element
+// type allows it.
 //
 // == The bitwise contract ==
 //
@@ -22,22 +22,19 @@
 //                       into accumulator i mod 4 with fma, reduced as
 //                       (s0 + s2) + (s1 + s3). This IS the AVX2 lane
 //                       layout; the scalar loop just spells it out.
-//   * normalize_rhs_d:  out[i] = sign[i] * b[i] + term[i] — two roundings
-//                       per element, identical in vector and scalar form
-//                       (and bitwise equal to the historical per-entry
-//                       NormalizedRhsEntry with term[i] the precomputed
-//                       perturbation, including the +0.0 when perturb=0).
+//   * normalize_rhs_d:  out[i] = sign[i] * b[i] — one rounding per element,
+//                       identical in vector and scalar form (and bitwise
+//                       equal to the simplex's per-entry NormalizedRhs).
 //   * equal_d:          whether x[i] != y[i] for no i — a pure predicate
 //                       (IEEE != per element, so NaN compares unequal in
 //                       both variants), no rounding anywhere. Powers the
 //                       unchanged-RHS fast exit of the re-pricing paths.
 //
 // The pivot-decision paths (ratio tests, reduced costs, FTRAN/BTRAN) are
-// long double by design — see lp/dense_tableau.h and lp/lu_basis.h — and
-// x86 SIMD has no long-double lanes, so those kernels (sweep_ld, scale_ld,
-// gather_axpy_ld, and LuBasis::FtranBlock) are scalar in *both* modes.
-// They still live here for the layout win (flat arena-backed rows instead
-// of vector-of-vectors) and for the per-kernel call/cycle accounting.
+// long double by design — see lp/lu_basis.h — and x86 SIMD has no
+// long-double lanes, so those kernels (sweep_ld and LuBasis::FtranBlock)
+// are scalar in *both* modes. They still live here for the per-kernel
+// call/cycle accounting.
 //
 // == Dispatch ==
 //
@@ -45,8 +42,7 @@
 // the CPU supports both and the mode allows it, the scalar table
 // otherwise. Mode comes from SimplexOptions::simd, resolved against the
 // LPB_LP_SIMD environment variable by ResolveSimdMode (lp/lp_backend.h)
-// following the same kDefault-reads-env convention as the backend and
-// pricing knobs. AVX2 code is compiled with a per-function target
+// when it is kDefault. AVX2 code is compiled with a per-function target
 // attribute, so the translation unit itself needs no -mavx2 and the
 // binary stays runnable on any x86-64 (and non-x86 builds simply have no
 // vector table).
@@ -58,8 +54,8 @@
 // or SetLpKernelCycleTiming(true), because a serializing timestamp pair
 // per kernel call would skew the very throughput the bench gates on —
 // bench_throughput times its regimes with cycles off and collects the
-// cycle table in one extra sweep with them on. Backends snapshot the
-// thread-local counters at each public entry and report the delta in
+// cycle table in one extra sweep with them on. The simplex snapshots the
+// thread-local counters at each public entry and reports the delta in
 // LpSolveStats::kernel_calls / kernel_cycles.
 #ifndef LPB_LP_KERNELS_H_
 #define LPB_LP_KERNELS_H_
@@ -83,8 +79,8 @@ struct LpKernelCounters {
   unsigned long long cycles[kNumLpKernels] = {};
 };
 
-// The calling thread's cumulative counters since thread start. Backends
-// snapshot this at public entry points and delta it into LpSolveStats.
+// The calling thread's cumulative counters since thread start. The simplex
+// snapshots this at public entry points and deltas it into LpSolveStats.
 // A plain extern thread_local (not an accessor function) so the timer's
 // bump inlines into the kernel call sites.
 extern thread_local LpKernelCounters g_lp_kernel_counters;
@@ -134,9 +130,9 @@ struct LpKernels {
   void (*axpy_d)(double a, const double* x, double* y, int n);
   // Four-accumulator fma dot; see the bitwise contract above.
   double (*dot_d)(const double* x, const double* y, int n);
-  // out[i] = sign[i] * b[i] + term[i] for i in [0, n).
-  void (*normalize_rhs_d)(const double* sign, const double* b,
-                          const double* term, double* out, int n);
+  // out[i] = sign[i] * b[i] for i in [0, n).
+  void (*normalize_rhs_d)(const double* sign, const double* b, double* out,
+                          int n);
   // True iff x[i] != y[i] for no i in [0, n) (IEEE !=, so NaN is unequal).
   bool (*equal_d)(const double* x, const double* y, int n);
 };
@@ -167,10 +163,9 @@ inline double LpDotD(const LpKernels& k, const double* x, const double* y,
 }
 
 inline void LpNormalizeRhsD(const LpKernels& k, const double* sign,
-                            const double* b, const double* term, double* out,
-                            int n) {
+                            const double* b, double* out, int n) {
   LpKernelTimer timer(kLpKernelNormalizeRhs);
-  k.normalize_rhs_d(sign, b, term, out, n);
+  k.normalize_rhs_d(sign, b, out, n);
 }
 
 inline bool LpEqualD(const LpKernels& k, const double* x, const double* y,
@@ -180,31 +175,15 @@ inline bool LpEqualD(const LpKernels& k, const double* x, const double* y,
 }
 
 // ---------------------------------------------------------------------------
-// Long-double kernels (pivot-precision paths): scalar in both modes — x86
-// SIMD has no long-double lanes — but flat-pointer shaped for the
-// arena-backed tableau layout and counted like every other kernel.
+// Long-double kernel (pivot precision): scalar in both modes — x86 SIMD has
+// no long-double lanes — but counted like every other kernel.
 
-// row[j] -= f * prow[j] for j in [0, n). The dense tableau's pivot sweep
-// and its reduced-cost accumulation are both this shape.
+// row[j] -= f * prow[j] for j in [0, n) — the basic-value update of a
+// pivot (x_B -= θ·w).
 inline void LpSweepLd(long double* row, const long double* prow,
                       long double f, int n) {
   LpKernelTimer timer(kLpKernelSweep);
   for (int j = 0; j < n; ++j) row[j] -= f * prow[j];
-}
-
-// v[j] *= inv for j in [0, n) — the pivot-row normalization.
-inline void LpScaleLd(long double* v, long double inv, int n) {
-  LpKernelTimer timer(kLpKernelScale);
-  for (int j = 0; j < n; ++j) v[j] *= inv;
-}
-
-// out[i] += col[i * stride] * d for i in [0, n) — a B⁻¹ column of the
-// row-major dense tableau (stride = row length) folded into the re-priced
-// RHS.
-inline void LpGatherAxpyLd(long double* out, const long double* col,
-                           int stride, long double d, int n) {
-  LpKernelTimer timer(kLpKernelGather);
-  for (int i = 0; i < n; ++i) out[i] += col[static_cast<long>(i) * stride] * d;
 }
 
 }  // namespace lpb

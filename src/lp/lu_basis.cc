@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <numeric>
 
 #include "lp/kernels.h"
@@ -11,16 +9,13 @@
 namespace lpb {
 
 LuBasis::LuBasis(LuOptions options) : options_(options) {
-  max_updates_ = options_.max_updates > 0 ? options_.max_updates
-                 : options_.forrest_tomlin ? 64
-                                           : 32;
+  max_updates_ = options_.max_updates > 0 ? options_.max_updates : 64;
 }
 
 bool LuBasis::Factorize(const SparseMatrix& a, const std::vector<int>& basis) {
   m_ = static_cast<int>(basis.size());
   factorized_ = false;
   updates_ = 0;
-  etas_.clear();
   ft_etas_.clear();
   u_nnz_ = 0;
   transform_nnz_ = 0;
@@ -135,13 +130,6 @@ bool LuBasis::Factorize(const SparseMatrix& a, const std::vector<int>& basis) {
       max_abs = std::max(max_abs, std::abs(work_[row]));
     }
     if (max_abs < options_.abs_pivot_tol) {
-      if (std::getenv("LPB_LU_DEBUG")) {
-        std::fprintf(stderr,
-                     "LU singular: k=%d/%d col=%d cand=%zu max_abs=%.3e "
-                     "topo=%zu\n",
-                     k, m_, col, cand_.size(), static_cast<double>(max_abs),
-                     topo_.size());
-      }
       // Numerically singular basis: clean scratch state and bail.
       for (int row : cand_) work_[row] = 0.0;
       for (int t : topo_) {
@@ -212,13 +200,6 @@ void LuBasis::Ftran(std::vector<Scalar>& x,
     for (const LuEntry& e : u_cols_[slot]) x[e.row] -= e.value * zk;
   }
   for (int i = 0; i < m_; ++i) x[i] = pos_work_[i];
-  // Legacy product-form etas, oldest first: x := E⁻¹ x per basis change.
-  for (const Eta& eta : etas_) {
-    const Scalar v = x[eta.slot] / eta.diag;
-    x[eta.slot] = v;
-    if (v == 0.0) continue;
-    for (const LuEntry& e : eta.off) x[e.row] -= e.value * v;
-  }
 }
 
 void LuBasis::FtranBlock(Scalar* x, int lanes) const {
@@ -264,28 +245,9 @@ void LuBasis::FtranBlock(Scalar* x, int lanes) const {
   }
   std::copy(block_pos_work_.begin(),
             block_pos_work_.begin() + static_cast<std::size_t>(m_) * lanes, x);
-  for (const Eta& eta : etas_) {
-    Scalar* xs = x + static_cast<std::size_t>(eta.slot) * lanes;
-    for (int l = 0; l < lanes; ++l) xs[l] = xs[l] / eta.diag;
-    for (const LuEntry& e : eta.off) {
-      Scalar* xr = x + static_cast<std::size_t>(e.row) * lanes;
-      for (int l = 0; l < lanes; ++l) {
-        const Scalar v = xs[l];
-        if (v == 0.0) continue;
-        xr[l] -= e.value * v;
-      }
-    }
-  }
 }
 
 void LuBasis::Btran(std::vector<Scalar>& y) const {
-  // Legacy etas transpose-inverted, newest first (slot space).
-  for (size_t idx = etas_.size(); idx-- > 0;) {
-    const Eta& eta = etas_[idx];
-    Scalar s = 0.0;
-    for (const LuEntry& e : eta.off) s += e.value * y[e.row];
-    y[eta.slot] = (y[eta.slot] - s) / eta.diag;
-  }
   // Forward solve with Uᵀ in position order; the result lands per row.
   for (int k = 0; k < m_; ++k) {
     const int slot = col_slot_[k];
@@ -315,7 +277,7 @@ bool LuBasis::AppendBorderedRows(const SparseMatrix& a,
                                  int first_new_row) {
   const int new_m = static_cast<int>(basis.size());
   const int k_new = new_m - m_;
-  if (!factorized_ || !etas_.empty() || first_new_row != m_ || k_new <= 0 ||
+  if (!factorized_ || first_new_row != m_ || k_new <= 0 ||
       a.rows() != new_m) {
     return false;
   }
@@ -393,15 +355,6 @@ bool LuBasis::AppendBorderedRows(const SparseMatrix& a,
 bool LuBasis::Update(const SparseMatrix& a, int col,
                      const std::vector<Scalar>& w, int r,
                      const std::vector<Scalar>* spike) {
-  if (options_.forrest_tomlin) {
-    return UpdateForrestTomlin(a, col, w, r, spike);
-  }
-  return UpdateEta(w, r);
-}
-
-bool LuBasis::UpdateForrestTomlin(const SparseMatrix& a, int col,
-                                  const std::vector<Scalar>& w, int r,
-                                  const std::vector<Scalar>* spike) {
   const int p = slot_pos_[r];
   const int rho = pivot_row_[p];
 
@@ -481,14 +434,6 @@ bool LuBasis::UpdateForrestTomlin(const SparseMatrix& a, int col,
       (diff > options_.abs_pivot_tol &&
        diff > options_.ft_agree_tol *
                   std::max(std::abs(unew), std::abs(predicted)))) {
-    if (std::getenv("LPB_LU_DEBUG")) {
-      std::fprintf(stderr,
-                   "FT reject: slot=%d pos=%d/%d unew=%.3e predicted=%.3e "
-                   "spike_max=%.3e\n",
-                   r, p, m_, static_cast<double>(unew),
-                   static_cast<double>(predicted),
-                   static_cast<double>(spike_max));
-    }
     clear_scratch();
     return false;
   }
@@ -525,27 +470,6 @@ bool LuBasis::UpdateForrestTomlin(const SparseMatrix& a, int col,
   }
   for (int i = 0; i < m_; ++i) spike_[i] = 0.0;
   row_hits_.clear();
-  ++updates_;
-  return true;
-}
-
-bool LuBasis::UpdateEta(const std::vector<Scalar>& w, int r) {
-  Scalar max_abs = 0.0;
-  for (Scalar v : w) max_abs = std::max(max_abs, std::abs(v));
-  // A tiny eta pivot relative to the spike magnifies every later solve;
-  // refuse and let the caller refactorize against the new basis header.
-  if (std::abs(w[r]) < options_.abs_pivot_tol ||
-      std::abs(w[r]) < options_.eta_rel_tol * max_abs) {
-    return false;
-  }
-  Eta eta;
-  eta.slot = r;
-  eta.diag = w[r];
-  for (int i = 0; i < m_; ++i) {
-    if (i != r && w[i] != 0.0) eta.off.push_back({i, w[i]});
-  }
-  transform_nnz_ += static_cast<int64_t>(eta.off.size());
-  etas_.push_back(std::move(eta));
   ++updates_;
   return true;
 }

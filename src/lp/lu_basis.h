@@ -1,5 +1,4 @@
-// LU-factorized simplex basis with Forrest–Tomlin (or product-form eta)
-// updates.
+// LU-factorized simplex basis with Forrest–Tomlin updates.
 //
 // Maintains B = [A[:, basis[0]], ..., A[:, basis[m-1]]] in factored form,
 // supporting the two solves every revised-simplex iteration needs:
@@ -23,16 +22,14 @@
 // and their inverses). A basis update therefore only rotates the position
 // maps — no stored index is ever relabeled.
 //
-// Basis changes apply a Forrest–Tomlin update by default: the entering
-// column's spike (its image under L and the prior updates) replaces the
-// leaving column of U, the leaving position is cycled to the end, and the
+// Basis changes apply a Forrest–Tomlin update: the entering column's
+// spike (its image under L and the prior updates) replaces the leaving
+// column of U, the leaving position is cycled to the end, and the
 // now-bottom row of U is eliminated by a sparse triangular solve whose
 // multipliers are recorded as one row transform applied inside every later
 // FTRAN/BTRAN. U stays genuinely triangular in place, so update chains run
-// long (max_updates, default 64) before a refactorization — the
-// refactorize-every-32-pivots cadence of the legacy product-form eta file
-// (still selectable via LuOptions::forrest_tomlin = false) is gone from
-// the warm-resolve hot path. Two guards force an early refactorization:
+// long (max_updates, default 64) before a refactorization. Two guards
+// force an early refactorization:
 //   * stability — the new diagonal must clear an absolute and a
 //     spike-relative threshold, and must agree with the value predicted
 //     from the ratio-test pivot (u_new = u_pp · w_r in exact arithmetic);
@@ -43,9 +40,8 @@
 //     transform list; when their combined nonzeros exceed fill_limit ×
 //     the freshly factored size, NeedsRefactorize() trips.
 //
-// All factors and solves are kept in long double, for the same reason the
-// dense tableau is (lp/dense_tableau.h): the lexicographic ratio test
-// legitimately pivots on tiny elements, and in plain double the FTRAN
+// All factors and solves are kept in long double: the lexicographic ratio
+// test legitimately pivots on tiny elements, and in plain double the FTRAN
 // image of a *true zero* (noise ~ cond(B)·u) becomes indistinguishable
 // from such a pivot — which is how degenerate solves go off the rails.
 #ifndef LPB_LP_LU_BASIS_H_
@@ -62,17 +58,8 @@ namespace lpb {
 struct LuOptions {
   double abs_pivot_tol = 1e-11;  // reject pivots below this outright
   double rel_pivot_tol = 0.1;    // threshold for Markowitz tie candidates
-  // Forrest–Tomlin in-place U update (default) vs legacy product-form
-  // etas. The revised simplex maps SimplexOptions::basis_update here.
-  bool forrest_tomlin = true;
-  // Updates carried between refactorizations. 0 = automatic: 64 for
-  // Forrest–Tomlin, 32 for the eta file (the eta stack re-applies every
-  // transform on every solve, so it saturates sooner).
+  // Updates carried between refactorizations. 0 = automatic (64).
   int max_updates = 0;
-  // Minimum |w_r| / ||w||_inf for an eta pivot (eta mode). The simplex's
-  // lexicographic ratio test legitimately pivots on tiny elements, but an
-  // eta file dividing by them amplifies noise in every later solve.
-  double eta_rel_tol = 1e-4;
   // FT stability: the new diagonal must be at least ft_rel_tol × ||spike||∞
   // and must agree with the pivot-predicted value to ft_agree_tol
   // (relative). Failing either refuses the update (caller refactorizes).
@@ -97,7 +84,7 @@ class LuBasis {
 
   bool factorized() const { return factorized_; }
   int m() const { return m_; }
-  // Basis updates absorbed since the last Factorize (FT or eta).
+  // Forrest–Tomlin updates absorbed since the last Factorize.
   int update_count() const { return updates_; }
   bool NeedsRefactorize() const {
     return updates_ >= max_updates_ ||
@@ -148,18 +135,15 @@ class LuBasis {
   //
   // Preconditions checked (returns false leaving the factorization
   // untouched, so the caller can refactorize instead): a successful
-  // Factorize is live, no legacy product-form etas are pending (their slot
-  // transform does not commute with the border; Forrest–Tomlin transforms
-  // do), `first_new_row` == m(), and each appended basis column is a unit
-  // column on exactly one new row with a pivotable diagonal, the new rows
-  // covered exactly once.
+  // Factorize is live, `first_new_row` == m(), and each appended basis
+  // column is a unit column on exactly one new row with a pivotable
+  // diagonal, the new rows covered exactly once.
   bool AppendBorderedRows(const SparseMatrix& a, const std::vector<int>& basis,
                           int first_new_row);
 
   // Records the basis change "column of slot r replaced by column `col` of
-  // `a`, whose FTRAN image is w". Forrest–Tomlin mode rewrites U in place;
-  // eta mode appends a product-form transform (and ignores a/col). An
-  // optional `spike` — the intermediate captured by Ftran(x, &spike) for
+  // `a`, whose FTRAN image is w", rewriting U in place (Forrest–Tomlin).
+  // An optional `spike` — the intermediate captured by Ftran(x, &spike) for
   // this very column under this very factorization — skips the update's
   // own forward solve. Returns false — leaving the factorization
   // unchanged — when the update would be numerically unstable; the caller
@@ -172,11 +156,6 @@ class LuBasis {
     int row = 0;
     Scalar value = 0.0;
   };
-
-  bool UpdateForrestTomlin(const SparseMatrix& a, int col,
-                           const std::vector<Scalar>& w, int r,
-                           const std::vector<Scalar>* spike);
-  bool UpdateEta(const std::vector<Scalar>& w, int r);
 
   LuOptions options_;
   int max_updates_ = 0;  // resolved from options_.max_updates
@@ -205,7 +184,7 @@ class LuBasis {
   std::vector<Scalar> diag_;
   int64_t u_nnz_ = 0;           // current off-diagonal U entries
   int64_t u_nnz0_ = 0;          // off-diagonal U entries at Factorize
-  int64_t transform_nnz_ = 0;   // FT-row-transform + eta entries
+  int64_t transform_nnz_ = 0;   // FT-row-transform entries
 
   // One Forrest–Tomlin row transform R = I - e_row μᵀ (row space): applied
   // oldest-first inside FTRAN after the L pass, newest-first transposed
@@ -215,14 +194,6 @@ class LuBasis {
     std::vector<LuEntry> mu;
   };
   std::vector<FtEta> ft_etas_;
-
-  // Legacy product-form eta (slot space), applied outside the base solves.
-  struct Eta {
-    int slot = 0;
-    Scalar diag = 0.0;
-    std::vector<LuEntry> off;  // (slot, w) entries, slot != this->slot
-  };
-  std::vector<Eta> etas_;
 
   // Scratch for Factorize/Ftran/Btran/Update (single-threaded per
   // instance, like the CompiledBound that owns the tableau).

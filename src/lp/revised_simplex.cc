@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -19,19 +17,39 @@ RevisedSimplex::RevisedSimplex(const LpProblem& problem,
                                const SimplexOptions& options)
     : problem_(problem),
       options_(options),
-      pricing_(ResolveLpPricing(options)),
-      update_kind_(ResolveBasisUpdate(options)),
       kernels_(&GetLpKernels(ResolveSimdMode(options))) {
   LuOptions lu_options;
-  lu_options.forrest_tomlin =
-      update_kind_ == BasisUpdateKind::kForrestTomlin;
   lu_options.max_updates = options_.max_basis_updates;
   lu_ = LuBasis(lu_options);
 }
 
 RevisedSimplex::Scalar RevisedSimplex::NormalizedRhs(
     int i, const std::vector<double>& rhs) const {
-  return NormalizedRhsEntry(problem_, row_sign_, options_.perturb, i, rhs);
+  // Double arithmetic, exactly what the normalize_rhs_d kernel computes.
+  const double b = rhs.empty() ? problem_.constraint(i).rhs : rhs[i];
+  return row_sign_[i] * b;
+}
+
+void RevisedSimplex::AllocScratch() {
+  // One Reset and a few pointer bumps: the arena keeps its chunks (and
+  // consolidates them to this LP's size), so repeated Builds of the same
+  // shape never hit the allocator. B⁻¹ columns and the FtranBlock staging
+  // are allocated on first use (MaterializeBinvColumns): only the rows
+  // whose RHS ever moves — the statistics rows of a bound LP — get a
+  // column, not all rows_² entries.
+  arena_.Reset();
+  problem_rhs_ = arena_.AllocArray<double>(rows_);
+  norm_b_ = arena_.AllocArray<double>(rows_);
+  last_b_ = arena_.AllocArray<double>(rows_);
+  x_reprice_ = arena_.AllocArray<double>(rows_);
+  binv_col_.assign(rows_, nullptr);
+  binv_block_ = nullptr;
+  for (int i = 0; i < rows_; ++i) problem_rhs_[i] = problem_.constraint(i).rhs;
+}
+
+double* RevisedSimplex::BinvColumn(int j) {
+  if (binv_col_[j] == nullptr) binv_col_[j] = arena_.AllocArray<double>(rows_);
+  return binv_col_[j];
 }
 
 void RevisedSimplex::Build(const std::vector<double>& rhs) {
@@ -43,29 +61,8 @@ void RevisedSimplex::Build(const std::vector<double>& rhs) {
   binv_valid_.assign(rows_, 0);
   InvalidateReprice();
 
-  // Arena-backed re-pricing scratch: one Reset and a few pointer bumps per
-  // cold Build (the chunks are reused, so repeated Builds of the same
-  // shape never hit the allocator). The B⁻¹ pool is uninitialized on
-  // purpose — binv_valid_ gates every read.
-  arena_.Reset();
-  problem_rhs_ = arena_.AllocArray<double>(rows_);
-  perturb_term_ = arena_.AllocArray<double>(rows_);
-  norm_b_ = arena_.AllocArray<double>(rows_);
-  last_b_ = arena_.AllocArray<double>(rows_);
-  x_reprice_ = arena_.AllocArray<double>(rows_);
-  binv_pool_ =
-      arena_.AllocArray<double>(static_cast<std::size_t>(rows_) * rows_);
-  binv_block_ = arena_.AllocArray<Scalar>(static_cast<std::size_t>(rows_) *
-                                          kBinvBlockLanes);
-  for (int i = 0; i < rows_; ++i) {
-    problem_rhs_[i] = problem_.constraint(i).rhs;
-    // The graded perturbation of NormalizedRhsEntry, precomputed so RHS
-    // normalization is one vectorizable sign*b + term kernel pass.
-    perturb_term_[i] = options_.perturb * (1 + i % 101);
-  }
+  AllocScratch();
 
-  // Row normalization shared with the dense backend (lp/lp_backend.h) —
-  // backend parity depends on the two applying the identical transform.
   NormalizedRows normalized = NormalizeRows(problem_, rhs);
   const std::vector<LpSense>& sense = normalized.sense;
   row_sign_ = std::move(normalized.row_sign);
@@ -74,7 +71,7 @@ void RevisedSimplex::Build(const std::vector<double>& rhs) {
 
   // Column-major assembly. Structural columns bucket the constraint terms
   // by variable; the slack/surplus and artificial blocks are unit columns
-  // appended in the same global numbering the dense tableau uses.
+  // appended after them, in row order.
   a_ = SparseMatrix(rows_);
   std::vector<std::vector<SparseEntry>> structural(n);
   for (int i = 0; i < rows_; ++i) {
@@ -173,7 +170,7 @@ void RevisedSimplex::MaterializeBinvColumns(const int* rows, int n) {
       unit_.assign(rows_, 0.0);
       unit_[j] = 1.0;
       lu_.Ftran(unit_);
-      double* colj = binv_pool_ + static_cast<std::size_t>(j) * rows_;
+      double* colj = BinvColumn(j);
       for (int i = 0; i < rows_; ++i) colj[i] = static_cast<double>(unit_[i]);
       binv_valid_[j] = 1;
       ++p;
@@ -182,6 +179,10 @@ void RevisedSimplex::MaterializeBinvColumns(const int* rows, int n) {
     // Blocked: `lanes` unit vectors through one FtranBlock — the L/U entry
     // lists are traversed once for the whole block instead of once per
     // column (each lane's arithmetic is bitwise the solo FTRAN's).
+    if (binv_block_ == nullptr) {
+      binv_block_ = arena_.AllocArray<Scalar>(static_cast<std::size_t>(rows_) *
+                                              kBinvBlockLanes);
+    }
     std::fill(binv_block_,
               binv_block_ + static_cast<std::size_t>(rows_) * lanes,
               Scalar{0.0});
@@ -191,7 +192,7 @@ void RevisedSimplex::MaterializeBinvColumns(const int* rows, int n) {
     lu_.FtranBlock(binv_block_, lanes);
     for (int l = 0; l < lanes; ++l) {
       const int j = missing_[p + l];
-      double* colj = binv_pool_ + static_cast<std::size_t>(j) * rows_;
+      double* colj = BinvColumn(j);
       for (int i = 0; i < rows_; ++i) {
         colj[i] = static_cast<double>(
             binv_block_[static_cast<std::size_t>(i) * lanes + l]);
@@ -247,22 +248,16 @@ RevisedSimplex::ScanVerdict RevisedSimplex::ScanBasics() const {
 }
 
 void RevisedSimplex::RepriceRhs(const std::vector<double>& rhs) {
-  // Normalize the whole RHS in one kernel pass (the historical per-entry
-  // NormalizedRhsEntry, all-double arithmetic, with the perturbation term
-  // precomputed in Build).
+  // Normalize the whole RHS in one kernel pass (bitwise the per-entry
+  // NormalizedRhs).
   const double* bsrc = rhs.empty() ? problem_rhs_ : rhs.data();
-  LpNormalizeRhsD(*kernels_, row_sign_.data(), bsrc, perturb_term_, norm_b_,
-                  rows_);
+  LpNormalizeRhsD(*kernels_, row_sign_.data(), bsrc, norm_b_, rows_);
   rhs_unchanged_ = false;
-  if (reprice_valid_ && reprices_since_full_ < kFullRepriceInterval &&
-      options_.perturb == 0.0) {
+  if (reprice_valid_ && reprices_since_full_ < kFullRepriceInterval) {
     // Incremental: x_new = x_old + Σ_j Δ_j · (B⁻¹ e_j) over the moved
     // coordinates — memoized double B⁻¹ columns folded in with the fma
     // axpy kernel. Exact comparison is deliberate: an unchanged coordinate
-    // contributes an exact zero delta. (A user-supplied perturbation
-    // forces the full path; perturbed resolves are rare and cold-heavy,
-    // and keeping them out of the delta path keeps it exactly the
-    // unperturbed b-difference.)
+    // contributes an exact zero delta.
     // The delta scan doubles as the unchanged-RHS fast exit: no moved
     // coordinate means x (= B⁻¹ last_b_) is already the answer — no delta
     // work, no tick of the drift interval (an untouched x accumulates
@@ -300,9 +295,7 @@ void RevisedSimplex::RepriceRhs(const std::vector<double>& rhs) {
       const double d = norm_b_[j] - last_b_[j];
       last_b_[j] = norm_b_[j];
       b_[j] = norm_b_[j];
-      LpAxpyD(*kernels_, d,
-              binv_pool_ + static_cast<std::size_t>(j) * rows_, x_reprice_,
-              rows_);
+      LpAxpyD(*kernels_, d, binv_col_[j], x_reprice_, rows_);
     }
     // The double master copy is now ahead of the pivot-precision x_basic_;
     // the widen is deferred (WidenReprice) so witness-served re-prices —
@@ -311,8 +304,8 @@ void RevisedSimplex::RepriceRhs(const std::vector<double>& rhs) {
     // re-price, same as before.
     x_basic_stale_ = true;
   } else if (reprice_valid_ && LpEqualD(*kernels_, norm_b_, last_b_, rows_)) {
-    // Bitwise-unchanged RHS reaching here (drift interval expired, or a
-    // perturbed resolve): same fast exit as the delta scan's.
+    // Bitwise-unchanged RHS reaching here (drift interval expired): same
+    // fast exit as the delta scan's.
     rhs_unchanged_ = true;
     return;
   } else {
@@ -340,9 +333,9 @@ int RevisedSimplex::ChooseLeavingSlot(const std::vector<Scalar>& w) {
   // Scale-aware eligibility: a true zero of the column survives FTRAN as
   // noise of order cond(B)·u·‖w‖, which crosses any absolute threshold
   // once the basis degrades — and pivoting on such noise is what degrades
-  // it. The dense backend gets away with an absolute eps only because its
-  // long-double tableau keeps the noise floor ~1e-19. Anchoring the
-  // threshold to ‖w‖∞ keeps noise entries out of the ratio test.
+  // it. A dense long-double tableau gets away with an absolute eps only
+  // because it keeps the noise floor ~1e-19. Anchoring the threshold to
+  // ‖w‖∞ keeps noise entries out of the ratio test.
   Scalar scale = 0.0;
   for (int i = 0; i < rows_; ++i) scale = std::max(scale, std::abs(w[i]));
   const Scalar eps = options_.eps * std::max<Scalar>(1.0, scale);
@@ -375,7 +368,7 @@ int RevisedSimplex::ChooseLeavingSlot(const std::vector<Scalar>& w) {
     return leave;
   }
   // Pass 2: lexicographic tie-break on the rows of B⁻¹ scaled by the pivot
-  // entries — the same invariant the dense tableau maintains over its
+  // entries — the invariant a dense tableau maintains over its
   // slack/artificial block. Rather than materializing one B⁻¹ *row* per
   // tied slot (a BTRAN per challenger — quadratic on the massively
   // degenerate cutting-plane LPs, where most of the basis ties at ratio
@@ -405,7 +398,7 @@ bool RevisedSimplex::ApplyPivot(int enter, int leave_slot,
   // = w, so each cached column updates in place with one product-form
   // sweep (below). Only the refactorizing paths flush the memo, which
   // also bounds its accumulated drift by the refactorization cadence —
-  // the same bound the FT/eta updates themselves live under.
+  // the same bound the FT updates themselves live under.
   reprice_valid_ = false;
   witness_scan_ok_ = false;
   MarkBasisChanged();  // covers both the pivot and the rollback below
@@ -413,22 +406,17 @@ bool RevisedSimplex::ApplyPivot(int enter, int leave_slot,
   in_basis_[out] = kNoCol;
   basis_[leave_slot] = enter;
   in_basis_[enter] = leave_slot;
-  // Basis update — Forrest–Tomlin rewrites U in place, the legacy mode
-  // appends a product-form eta. On rejection (unstable update) or an
-  // exhausted update/fill budget, refactorize against the new basis
-  // header. Refactorization also recomputes the basic values from b_,
-  // squashing accumulated drift.
+  // Basis update — Forrest–Tomlin rewrites U in place. On rejection
+  // (unstable update) or an exhausted update/fill budget, refactorize
+  // against the new basis header. Refactorization also recomputes the
+  // basic values from b_, squashing accumulated drift.
   // spike_ is the pre-U intermediate the entering column's FTRAN captured
   // (every ApplyPivot call site FTRANs the entering column immediately
   // before, with no factorization change in between), so the update skips
   // its own forward solve.
   const bool updated = lu_.Update(a_, enter, w, leave_slot, &spike_);
   if (updated) {
-    if (update_kind_ == BasisUpdateKind::kForrestTomlin) {
-      ++stats_.ft_updates;
-    } else {
-      ++stats_.eta_updates;
-    }
+    ++stats_.ft_updates;
   } else {
     ++stats_.rejected_updates;
   }
@@ -437,8 +425,9 @@ bool RevisedSimplex::ApplyPivot(int enter, int leave_slot,
     std::fill(binv_valid_.begin(), binv_valid_.end(), 0);
     if (!lu_.Factorize(a_, basis_)) {
       // The post-pivot basis is numerically singular: the pivot element
-      // cleared eps only through drift in the eta stack. Roll the header
-      // back and rebuild the previous basis, which factorized before.
+      // cleared eps only through drift in the update chain. Roll the
+      // header back and rebuild the previous basis, which factorized
+      // before.
       in_basis_[enter] = kNoCol;
       basis_[leave_slot] = out;
       in_basis_[out] = leave_slot;
@@ -465,7 +454,7 @@ bool RevisedSimplex::ApplyPivot(int enter, int leave_slot,
       }
       narrowed = true;
     }
-    double* col = binv_pool_ + static_cast<std::size_t>(j) * rows_;
+    double* col = binv_col_[j];
     const double t = col[leave_slot] / w_leave;
     if (t != 0.0) {
       LpAxpyD(*kernels_, -t, pivot_w_.data(), col, rows_);
@@ -489,30 +478,19 @@ bool RevisedSimplex::RunPhase(const std::vector<double>& cost,
   bland_mode_ = false;
   // Fresh Devex reference framework per phase: every column starts at
   // weight 1 (the framework is the phase-start nonbasic set).
-  if (pricing_ == PricingRule::kDevex) devex_w_.assign(cols_, 1.0);
+  if (options_.pricing == PricingRule::kDevex) devex_w_.assign(cols_, 1.0);
   price_list_.clear();
   while (true) {
     if (numerical_failure_ || iterations_ >= max_iterations_) return false;
 
     // Anti-cycling, layered: the lexicographic ratio test below is the
-    // primary rule (exact-arithmetic termination, same as the dense
-    // backend), but its floating-point comparisons can erode on extremely
-    // degenerate LPs — so after a long run of zero-step pivots, switch to
-    // Bland's rule (smallest-index pricing + smallest-index tie-break),
-    // whose termination guarantee holds from any basis with no invariant
-    // to preserve. Dantzig/Devex pricing resumes as soon as a pivot moves.
+    // primary rule (exact-arithmetic termination), but its floating-point
+    // comparisons can erode on extremely degenerate LPs — so after a long
+    // run of zero-step pivots, switch to Bland's rule (smallest-index
+    // pricing + smallest-index tie-break), whose termination guarantee
+    // holds from any basis with no invariant to preserve. Dantzig/Devex
+    // pricing resumes as soon as a pivot moves.
     bland_mode_ = stalled > kBlandStallThreshold;
-    // Diagnostic heartbeat (see "Debugging" in src/lp/README.md).
-    if (iterations_ % 5000 == 0 && iterations_ > 0 &&
-        std::getenv("LPB_RS_DEBUG") != nullptr) {
-      Scalar obj = 0.0;
-      for (int i = 0; i < rows_; ++i) obj += cost[basis_[i]] * x_basic_[i];
-      std::fprintf(
-          stderr,
-          "RS iter=%d obj=%.9f stalled=%d bland=%d updates=%d rows=%d\n",
-          iterations_, static_cast<double>(obj), stalled, bland_mode_ ? 1 : 0,
-          lu_.update_count(), rows_);
-    }
 
     // Price: y = B⁻ᵀ c_B once, then one sparse dot per priced column.
     ComputeDuals(cost);
@@ -562,8 +540,8 @@ bool RevisedSimplex::RunPhase(const std::vector<double>& cost,
 
     const int leave = ChooseLeavingSlot(w_);
     if (leave == -1) {
-      // Same guard as the dense backend: a barely positive reduced cost
-      // over a numerically dead column is noise, not a ray.
+      // A barely positive reduced cost over a numerically dead column is
+      // noise, not a ray: freeze the column and move on.
       if (best <= 1e-6) {
         frozen_[enter] = true;
         continue;
@@ -575,32 +553,25 @@ bool RevisedSimplex::RunPhase(const std::vector<double>& cost,
     // staged before the factorization absorbs the pivot — and committed
     // only if the pivot actually goes through (a rejected-and-rolled-back
     // pivot must not leave phantom weight updates behind).
-    if (pricing_ == PricingRule::kDevex) {
+    if (options_.pricing == PricingRule::kDevex) {
       PrepareDevexWeights(enter, leave, w_, limit);
     }
     const Scalar step = x_basic_[leave] / w_[leave];
     if (!ApplyPivot(enter, leave, w_)) {
       if (numerical_failure_) return false;
       // The pivot was drift: the rolled-back basis has just been
-      // refactorized (accurate, eta-free), so re-price and retry — the
+      // refactorized (accurate, update-free), so re-price and retry — the
       // honest FTRAN image usually prices the column out or picks a real
       // pivot. Freezing is a last resort after repeated rejections, since
       // wrongly freezing a live column (e.g. the objective variable)
       // silently caps the optimum.
-      if (std::getenv("LPB_RS_DEBUG") != nullptr) {
-        std::fprintf(stderr,
-                     "RS reject: enter=%d leave=%d w_leave=%.3e best=%.3e "
-                     "rejects=%d\n",
-                     enter, leave, static_cast<double>(w_[leave]), best,
-                     consecutive_rejects + 1);
-      }
       if (++consecutive_rejects > 2) {
         frozen_[enter] = true;
         consecutive_rejects = 0;
       }
       continue;
     }
-    if (pricing_ == PricingRule::kDevex) CommitDevexWeights();
+    if (options_.pricing == PricingRule::kDevex) CommitDevexWeights();
     consecutive_rejects = 0;
     if (step > 1e-12) {
       stalled = 0;
@@ -623,8 +594,9 @@ int RevisedSimplex::PriceEntering(const std::vector<double>& cost, int limit,
   // Criterion: reduced cost (Dantzig) or reduced²/γ (Devex); ties break to
   // the lower index via strict comparison, keeping the rule deterministic.
   auto criterion = [&](int j, double reduced) {
-    return pricing_ == PricingRule::kDevex ? reduced * reduced / devex_w_[j]
-                                           : reduced;
+    return options_.pricing == PricingRule::kDevex
+               ? reduced * reduced / devex_w_[j]
+               : reduced;
   };
   if (partial && !price_list_.empty()) {
     // Candidate pass: re-price only the list, compacting out columns that
@@ -855,7 +827,7 @@ void RevisedSimplex::ExtractOptimal(LpEvalPath path, LpResult& result,
     // scatter and the objective dot on the repeated-RHS hot path.
     result.x = cached_x_;
     result.objective = cached_objective_;
-    result.pricing = pricing_;
+    result.pricing = options_.pricing;
     result.duals = cached_duals_;
     has_basis_ = true;
     FillKernelStats();
@@ -876,7 +848,7 @@ void RevisedSimplex::ExtractOptimal(LpEvalPath path, LpResult& result,
   cached_x_ = result.x;
   cached_objective_ = result.objective;
   result_cache_valid_ = true;
-  result.pricing = pricing_;
+  result.pricing = options_.pricing;
 
   if (path == LpEvalPath::kWitness && !cached_duals_.empty()) {
     // Same basis, same cost: the duals are the previous solve's.
@@ -901,7 +873,7 @@ void RevisedSimplex::Failure(LpStatus status, LpResult& result) {
   result.objective = 0.0;
   result.iterations = iterations_;
   result.path = LpEvalPath::kCold;
-  result.pricing = pricing_;
+  result.pricing = options_.pricing;
   FillKernelStats();
   result.stats = stats_;
   // The LpResult contract: x/duals are sized (zeros) even on failure so
@@ -925,13 +897,9 @@ void RevisedSimplex::SolveFromScratch(const std::vector<double>& rhs,
   // simplex can reach the optimal objective and then wander the optimal
   // face for 100k+ zero-step pivots without proving optimality; the
   // perturbed problem is nondegenerate, so pricing races to the optimum
-  // and the cleanup restores exactness. A user-supplied perturbation
-  // (options_.perturb) disables the internal one — matching the dense
-  // backend, the caller then owns the perturbed semantics.
-  if (options_.perturb == 0.0) {
-    SolveCore(rhs, /*anti_degeneracy=*/true, result);
-    if (!cleanup_failed_) return;
-  }
+  // and the cleanup restores exactness.
+  SolveCore(rhs, /*anti_degeneracy=*/true, result);
+  if (!cleanup_failed_) return;
   SolveCore(rhs, /*anti_degeneracy=*/false, result);
 }
 
@@ -946,10 +914,10 @@ void RevisedSimplex::SolveCore(const std::vector<double>& rhs,
                         : 50 * (rows_ + cols_) + 1000;
   if (numerical_failure_) return Failure(LpStatus::kIterationLimit, result);
   if (anti_degeneracy) {
-    // Graded positive shifts, the same shape as SimplexOptions::perturb.
-    // Magnitude: far above the long-double noise floor, far below the
-    // data; exactness is restored by the cleanup below, not by keeping
-    // this small.
+    // Graded positive shifts, eps * (1 + i mod 101) per row. Magnitude:
+    // far above the long-double noise floor, far below the data;
+    // exactness is restored by the cleanup below, not by keeping this
+    // small.
     for (int i = 0; i < rows_; ++i) {
       b_[i] += kAntiDegeneracyEps * (1 + i % 101);
     }
@@ -1161,23 +1129,9 @@ bool RevisedSimplex::AddConstraintsWarm(const std::vector<LpConstraint>& rows,
       first_new_row + i;
   phase2_cost_.resize(cols_, 0.0);
 
-  // Re-layout the arena scratch for the larger row count (the B⁻¹ pool is
-  // rows_², so growth re-allocates it regardless); the re-pricing state is
-  // invalidated below, so nothing here needs preserving.
-  arena_.Reset();
-  problem_rhs_ = arena_.AllocArray<double>(rows_);
-  perturb_term_ = arena_.AllocArray<double>(rows_);
-  norm_b_ = arena_.AllocArray<double>(rows_);
-  last_b_ = arena_.AllocArray<double>(rows_);
-  x_reprice_ = arena_.AllocArray<double>(rows_);
-  binv_pool_ =
-      arena_.AllocArray<double>(static_cast<std::size_t>(rows_) * rows_);
-  binv_block_ = arena_.AllocArray<Scalar>(static_cast<std::size_t>(rows_) *
-                                          kBinvBlockLanes);
-  for (int i = 0; i < rows_; ++i) {
-    problem_rhs_[i] = problem_.constraint(i).rhs;
-    perturb_term_[i] = options_.perturb * (1 + i % 101);
-  }
+  // Re-layout the arena scratch for the larger row count; the re-pricing
+  // state is invalidated below, so nothing here needs preserving.
+  AllocScratch();
   binv_valid_.assign(rows_, 0);
   InvalidateReprice();
   result_cache_valid_ = false;
@@ -1187,7 +1141,7 @@ bool RevisedSimplex::AddConstraintsWarm(const std::vector<LpConstraint>& rows,
   for (int i = 0; i < rows_; ++i) b_[i] = NormalizedRhs(i, rhs);
 
   // Grow the LU factorization by the bordered slack columns; refactorize
-  // when the growth is refused (pending legacy etas, degenerate layout) or
+  // when the growth is refused (degenerate layout) or
   // the appended fill trips the budget. The grown basis [[B,0],[C,I]] is
   // nonsingular whenever B was, so a refactorization failure here is a
   // genuine numerical breakdown — handled by the cold fallback below.
@@ -1236,9 +1190,9 @@ void RevisedSimplex::ResolveWithRhsBatch(
     std::span<const std::vector<double>> rhs_batch,
     std::vector<LpResult>& out) {
   // Each column runs the same ResolveCascade as the scalar path — the
-  // batch contract (lp_backend.h) promises results identical to the
-  // scalar sequence. What the block amortizes: every witness-valid column
-  // is one incremental re-price (or FTRAN) through the same cached
+  // batch contract promises results identical to the scalar sequence.
+  // What the block amortizes: every witness-valid column is one
+  // incremental re-price (or FTRAN) through the same cached
   // factorization plus a read of the shared cached duals (the cost-row
   // BTRAN ran once, at the solve that cached the basis), with no per-call
   // dispatch or limit recomputation in between — and the results land in
@@ -1326,8 +1280,7 @@ void RevisedSimplex::ResolveWithRhsBatchRelaxed(
     max_iterations_ = batch_max_iterations;
     ResolveCascade(rhs_batch[c], result);
     if (!has_basis_) continue;
-    if (result.status == LpStatus::kOptimal && !reprice_valid_ &&
-        options_.perturb == 0.0) {
+    if (result.status == LpStatus::kOptimal && !reprice_valid_) {
       // The episode pivoted (a still-valid baseline skips this): re-seed
       // the incremental re-price baseline from the cascade's own basics —
       // x_basic_ is B⁻¹b_ for the repaired basis, maintained through the

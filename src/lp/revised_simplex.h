@@ -1,22 +1,22 @@
-// Sparse revised simplex backend over an LU-factorized basis.
+// Sparse revised simplex over an LU-factorized basis: the LP solver
+// behind SimplexTableau (lp/tableau.h).
 //
-// Solves the same normalized standard form as the dense tableau
-// (lp/dense_tableau.h) — maximize c'x over Ax {<=,>=,=} b, x >= 0, rows
-// sign-normalized, slack/surplus/artificial columns appended — but never
-// materializes B⁻¹A. Each iteration does three sparse solves against the
-// factorized basis (lp/lu_basis.h):
+// Solves maximize c'x over Ax {<=,>=,=} b, x >= 0 in normalized standard
+// form — rows sign-normalized (NormalizeRows, lp/lp_backend.h), slack/
+// surplus/artificial columns appended — without ever materializing B⁻¹A.
+// Each iteration does three sparse solves against the factorized basis
+// (lp/lu_basis.h):
 //
 //   BTRAN  y = B⁻ᵀ c_B                duals; reduced cost of column j is
 //                                     c_j - y·A_j, an O(nnz(A_j)) dot
 //   FTRAN  w = B⁻¹ A_enter            the pivot column, for the ratio test
 //   update B := B'                    Forrest–Tomlin in-place U rewrite
-//                                     (or a product-form eta, per options)
 //
-// so an iteration costs O(nnz(A) + m + update work) instead of the dense
+// so an iteration costs O(nnz(A) + m + update work) instead of a dense
 // tableau's O(rows x cols) sweep — the difference between grinding and
 // finishing on the cutting-plane Γn relaxations past n ≈ 7.
 //
-// Pricing is selectable (SimplexOptions::pricing / LPB_LP_PRICING):
+// Pricing is selectable (SimplexOptions::pricing):
 // Dantzig's most-positive-reduced-cost rule, or Devex reference-framework
 // pricing — approximate steepest-edge weights γ_j ≈ ‖B⁻¹A_j‖² maintained
 // per pivot from the pivot row (one extra BTRAN + sparse dots), entering
@@ -31,29 +31,30 @@
 // declared by a full sweep.
 //
 // Anti-cycling: the ratio test breaks ties lexicographically on the rows
-// of [B⁻¹b | B⁻¹], exactly the invariant the dense solver maintains over
-// its slack/artificial block (tied rows are materialized on demand with a
+// of [B⁻¹b | B⁻¹], the invariant a dense tableau maintains over its
+// slack/artificial block (tied rows are materialized on demand with a
 // unit BTRAN). The starting basis is the identity, so rows begin
-// lexicographically positive and the classic termination argument applies
-// to both backends alike.
+// lexicographically positive and the classic termination argument
+// applies.
 //
-// Warm re-solves mirror the dense cascade: FTRAN re-prices the new RHS
-// under the cached factorization (witness), dual simplex repairs primal
-// infeasibility from the still-dual-feasible basis (warm), and anything
-// the factorization cannot represent falls back to a cold two-phase solve.
+// Warm re-solves run the witness / warm / cold cascade of lp/tableau.h:
+// FTRAN re-prices the new RHS under the cached factorization (witness),
+// dual simplex repairs primal infeasibility from the still-dual-feasible
+// basis (warm), and anything the factorization cannot represent falls
+// back to a cold two-phase solve.
 //
-// Hot-path layout (this is the backend the batch estimate regime runs):
-// the RHS normalization, the B⁻¹ column memo, and the incremental
-// re-pricing deltas are double-precision kernels (lp/kernels.h) over
-// arena-backed scratch (util/arena.h) — NormalizedRhsEntry always computed
-// in double, so nothing is lost — while every pivot-decision quantity
-// (FTRAN/BTRAN images, ratio tests, basic values) stays long double. All
-// solver exits write into a caller-owned LpResult, so a batch loop reuses
-// one result vector and its x/duals capacity instead of re-allocating per
-// column.
+// Hot-path layout: the RHS normalization, the B⁻¹ column memo, and the
+// incremental re-pricing deltas are double-precision kernels
+// (lp/kernels.h) over arena-backed scratch (util/arena.h) sized to the LP
+// — the normalized RHS is computed in double anyway, so nothing is lost —
+// while every pivot-decision quantity (FTRAN/BTRAN images, ratio tests,
+// basic values) stays long double. All solver exits write into a
+// caller-owned LpResult, so a batch loop reuses one result vector and its
+// x/duals capacity instead of re-allocating per column.
 #ifndef LPB_LP_REVISED_SIMPLEX_H_
 #define LPB_LP_REVISED_SIMPLEX_H_
 
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -67,13 +68,17 @@
 
 namespace lpb {
 
-class RevisedSimplex : public LpBackendImpl {
+class RevisedSimplex {
  public:
   explicit RevisedSimplex(const LpProblem& problem,
                           const SimplexOptions& options = {});
 
-  LpResult Solve(const std::vector<double>& rhs) override;
-  LpResult ResolveWithRhs(const std::vector<double>& rhs) override;
+  // Cold two-phase solve; empty `rhs` uses the problem's own right-hand
+  // sides. Caches the final basis on an optimal finish.
+  LpResult Solve(const std::vector<double>& rhs);
+  // Warm re-solve against a new RHS (witness / dual-simplex / cold
+  // cascade); behaves like Solve(rhs) when no basis is cached.
+  LpResult ResolveWithRhs(const std::vector<double>& rhs);
   // Multi-RHS resolve: every column flows through the one cached LU
   // factorization (an incremental re-price or FTRAN per column, no
   // per-column rebuild), witness validation is per column, and the
@@ -81,21 +86,27 @@ class RevisedSimplex : public LpBackendImpl {
   // column in the block. A column whose basis goes stale runs the scalar
   // dual-simplex/cold cascade, and the columns after it continue against
   // the updated factorization, keeping results identical to sequential
-  // ResolveWithRhs calls. Results land in `out` (fully overwritten), so a
-  // caller looping over batches reuses the element capacity.
+  // ResolveWithRhs calls. Results land in `out` (resized, and every field
+  // of every element overwritten), so a caller looping over batches reuses
+  // the element capacity.
   void ResolveWithRhsBatch(std::span<const std::vector<double>> rhs_batch,
-                           std::vector<LpResult>& out) override;
-  using LpBackendImpl::ResolveWithRhsBatch;  // value-returning forwarder
-  // Order-relaxed block resolve (see lp/lp_backend.h): a witness-only
-  // first pass against the pinned current basis — no pivots, so the
-  // B⁻¹-column memo and the incremental re-price baseline survive the
-  // whole pass — then the deferred stale columns run the scalar cascade
-  // in their original order. Value-equivalent, not bitwise-equal, to the
-  // strict batch; the cutting-plane batch path rides this.
+                           std::vector<LpResult>& out);
+  // Order-relaxed block resolve: a witness-only first pass against the
+  // pinned current basis — no pivots, so the B⁻¹-column memo and the
+  // incremental re-price baseline survive the whole pass — then the
+  // deferred stale columns run the scalar cascade in their original
+  // order. This is sound because a witness verdict is order-independent:
+  // the pinned basis is dual feasible (costs never change), so any column
+  // it serves primal-feasibly gets the true optimum. Value-equivalent, not
+  // bitwise-equal, to the strict batch (a deferred column may reach its
+  // optimum through a different equal-value basis); the cutting-plane
+  // batch path rides this.
   void ResolveWithRhsBatchRelaxed(
       std::span<const std::vector<double>> rhs_batch,
-      std::vector<LpResult>& out) override;
-  // Warm cut append (see lp/lp_backend.h for the contract): the new rows
+      std::vector<LpResult>& out);
+  // Warm cut append (contract on SimplexTableau::AddConstraintsWarm): the
+  // previous optimum keeps its duals (new rows get dual 0), so the
+  // extended basis is dual feasible by construction. The new rows
   // join the sparse matrix via SparseMatrix::AppendRows, their slacks
   // enter the basis, and the LU factorization grows by bordered slack
   // columns (LuBasis::AppendBorderedRows) — refactorizing only when the
@@ -106,14 +117,16 @@ class RevisedSimplex : public LpBackendImpl {
   // slack-feasible <= row.
   bool AddConstraintsWarm(const std::vector<LpConstraint>& rows,
                           const std::vector<double>& rhs,
-                          LpResult& result) override;
-  bool has_optimal_basis() const override { return has_basis_; }
-  const std::vector<int>& basis() const override { return basis_; }
+                          LpResult& result);
+  bool has_optimal_basis() const { return has_basis_; }
+  // Basic column per slot (structural, then slack/surplus, then
+  // artificial column ids).
+  const std::vector<int>& basis() const { return basis_; }
 
  private:
-  // Working precision, matching LuBasis::Scalar and the dense tableau (the
-  // lexicographic ratio test needs a noise floor far below its pivot
-  // eligibility threshold; double's is not).
+  // Working precision, matching LuBasis::Scalar (the lexicographic ratio
+  // test needs a noise floor far below its pivot eligibility threshold;
+  // double's is not).
   using Scalar = long double;
 
   static constexpr int kNoCol = -1;
@@ -131,17 +144,21 @@ class RevisedSimplex : public LpBackendImpl {
   static constexpr int kBinvBlockLanes = LuBasis::kMaxFtranBlockLanes;
 
   void Build(const std::vector<double>& rhs);
+  // (Re)allocates the re-pricing scratch for rows_ rows from arena_.
+  void AllocScratch();
   // Sets b_ from `rhs` and computes x_basic_ = B⁻¹b. Incremental when the
   // factorization is unchanged since the last re-price: each moved RHS
   // coordinate contributes Δ_j times column j of B⁻¹ (materialized by
-  // blocked FTRANs and memoized per factorization in binv_pool_), so a
+  // blocked FTRANs and memoized per factorization in binv_col_), so a
   // k-statistic what-if probe costs O(rows × k) instead of a full FTRAN.
   // Every kFullRepriceInterval calls a fresh FTRAN bounds drift.
   void RepriceRhs(const std::vector<double>& rhs);
-  // Ensures binv_pool_ holds B⁻¹ e_j for the first `n` entries of `rows`
+  // Ensures binv_col_ holds B⁻¹ e_j for the first `n` entries of `rows`
   // (missing columns are materialized kBinvBlockLanes at a time with
   // FtranBlock).
   void MaterializeBinvColumns(const int* rows, int n);
+  // Storage for B⁻¹ e_j, allocated from arena_ on first request.
+  double* BinvColumn(int j);
   // Called whenever the basis or its factorization changes.
   void InvalidateReprice();
   // After an incremental re-price, x_reprice_ is the master copy and
@@ -219,7 +236,7 @@ class RevisedSimplex : public LpBackendImpl {
   // of the entering column; updates basic values and the factorization.
   // Returns false — with the previous basis restored and refactorized —
   // when the post-pivot basis turns out numerically singular (the pivot
-  // element only looked acceptable through eta-stack drift); the caller
+  // element only looked acceptable through update-chain drift); the caller
   // must not retry the same entering column.
   bool ApplyPivot(int enter, int leave_slot, const std::vector<Scalar>& w);
   void EvictArtificials();
@@ -238,8 +255,6 @@ class RevisedSimplex : public LpBackendImpl {
 
   LpProblem problem_;
   SimplexOptions options_;
-  PricingRule pricing_ = PricingRule::kDantzig;        // resolved, pinned
-  BasisUpdateKind update_kind_ = BasisUpdateKind::kForrestTomlin;
   const LpKernels* kernels_;  // dispatch table per SimplexOptions::simd
 
   int rows_ = 0;
@@ -255,21 +270,22 @@ class RevisedSimplex : public LpBackendImpl {
   std::vector<Scalar> x_basic_;  // basic values per slot
   LuBasis lu_;
 
-  // Arena-backed re-pricing scratch, (re)allocated per cold Build. The
-  // normalized-RHS pipeline is all double (NormalizedRhsEntry computes in
-  // double), so the double buffers lose nothing; the pivot-precision
-  // consumers read the widened x_basic_.
+  // Arena-backed re-pricing scratch, (re)allocated per cold Build (see
+  // AllocScratch). The normalized RHS is row_sign * b in double, so the
+  // double buffers lose nothing; the pivot-precision consumers read the
+  // widened x_basic_.
   Arena arena_;
   double* problem_rhs_ = nullptr;   // constraint(i).rhs, for the empty-rhs case
-  double* perturb_term_ = nullptr;  // perturb * (1 + i % 101)
-  double* norm_b_ = nullptr;        // row_sign * b + perturb_term (this call)
+  double* norm_b_ = nullptr;        // row_sign * b (this call)
   double* last_b_ = nullptr;        // normalized RHS of the last re-price
   double* x_reprice_ = nullptr;     // B⁻¹ last_b_ (double master copy)
-  // Memoized B⁻¹ columns, column-major: column j at binv_pool_ + j*rows_.
-  // Stored in double — they only ever feed the double delta axpy.
-  double* binv_pool_ = nullptr;
+  // Memoized B⁻¹ columns: column j (rows_ doubles) at binv_col_[j], null
+  // until row j's RHS first moves; valid while binv_valid_[j]. Stored in
+  // double — they only ever feed the double delta axpy.
+  std::vector<double*> binv_col_;
   std::vector<char> binv_valid_;
-  // FtranBlock staging (rows_ x kBinvBlockLanes, lane-interleaved).
+  // FtranBlock staging (rows_ x kBinvBlockLanes, lane-interleaved), null
+  // until the first blocked materialization.
   Scalar* binv_block_ = nullptr;
 
   // Incremental re-pricing state (see RepriceRhs), invalidated by

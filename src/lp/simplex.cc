@@ -4,11 +4,10 @@
 
 namespace lpb {
 
-// The one-shot entry point: compile a tableau (dense or revised backend,
-// per options/LPB_LP_BACKEND), run the two-phase simplex, throw the
-// tableau away. Callers that re-solve the same matrix with different
-// right-hand sides should hold a SimplexTableau instead (lp/tableau.h)
-// and use ResolveWithRhs.
+// The one-shot entry point: compile a tableau, run the two-phase simplex,
+// throw the tableau away. Callers that re-solve the same matrix with
+// different right-hand sides should hold a SimplexTableau instead
+// (lp/tableau.h) and use ResolveWithRhs.
 LpResult SolveLp(const LpProblem& problem, const SimplexOptions& options) {
   SimplexTableau tableau(problem, options);
   return tableau.Solve();

@@ -1,12 +1,12 @@
-// Dense two-phase primal simplex solver.
+// LP result, option and statistics types, and the one-shot SolveLp.
 //
-// Solves `maximize c'x s.t. Ax {<=,>=,=} b, x >= 0` on a dense tableau.
-// Phase 1 drives artificial variables out of the basis; phase 2 optimizes
-// the real objective. Pricing is Dantzig's rule; the leaving row is chosen
-// by a lexicographic ratio test, which guarantees termination on the
-// heavily degenerate cutting-plane LPs of the bound engine. Dual values for every constraint are recovered from the final
-// objective row — the bound engines use them as the witness coefficients
-// w_i of the paper's information inequality (8).
+// Solves `maximize c'x s.t. Ax {<=,>=,=} b, x >= 0` with the two-phase
+// revised simplex of lp/revised_simplex.h: phase 1 drives artificial
+// variables out of the basis, phase 2 optimizes the real objective, and a
+// lexicographic ratio test guarantees termination on the heavily
+// degenerate cutting-plane LPs of the bound engine. Dual values for every
+// constraint come with each optimal result — the bound engines use them as
+// the witness coefficients w_i of the paper's information inequality (8).
 #ifndef LPB_LP_SIMPLEX_H_
 #define LPB_LP_SIMPLEX_H_
 
@@ -28,51 +28,31 @@ enum class LpStatus {
 // pure read-off of the still-optimal cached basis (kWitness).
 enum class LpEvalPath { kCold, kWarm, kWitness };
 
-// Which solver implementation runs under SolveLp / SimplexTableau.
-//   kDefault — consult the LPB_LP_BACKEND environment variable ("dense" or
-//              "revised"); dense when unset. This is the only value that
-//              honors the env var, so tests pinning a backend stay pinned.
-//   kDense   — the dense long-double tableau (lp/dense_tableau.h).
-//   kRevised — the sparse revised simplex with an LU-factorized basis
-//              (lp/revised_simplex.h).
-enum class LpBackendKind { kDefault, kDense, kRevised };
+// The LP solver behind SolveLp / SimplexTableau. There is one: the sparse
+// revised simplex with an LU-factorized basis (lp/revised_simplex.h). The
+// enum stays so explanations and bench headers can name it.
+enum class LpBackendKind { kRevised };
 
-// "dense" / "revised"; kDefault renders as "default".
+// "revised".
 const char* LpBackendName(LpBackendKind kind);
 
-// Pricing rule of the revised backend's primal phases (the dense tableau
-// always prices with Dantzig's rule).
-//   kDefault — consult LPB_LP_PRICING ("dantzig" or "devex"); dantzig when
-//              unset. Like LpBackendKind::kDefault, this is the only value
-//              that honors the env var, so tests pinning a rule stay pinned.
-//   kDantzig — most positive reduced cost (the original rule).
+// Pricing rule of the primal phases.
+//   kDantzig — most positive reduced cost (the default).
 //   kDevex   — Devex reference-framework pricing: approximate steepest-edge
 //              weights updated per pivot, reference frame reset on weight
-//              blow-up. Cuts iteration counts on the heavily degenerate
-//              cutting-plane relaxations; see src/lp/README.md for the
-//              default-flip criteria.
+//              blow-up. Fewer pivots on some cold cutting-plane compiles,
+//              more work per pivot; see src/lp/README.md.
 // Wide problems additionally price over a candidate list under either rule
 // (partial pricing); see lp/revised_simplex.h.
-enum class PricingRule { kDefault, kDantzig, kDevex };
+enum class PricingRule { kDantzig, kDevex };
 
-// "dantzig" / "devex"; kDefault renders as "default".
+// "dantzig" / "devex".
 const char* PricingRuleName(PricingRule rule);
-
-// How the revised backend's LU basis absorbs a pivot (lp/lu_basis.h).
-//   kDefault       — consult LPB_LP_UPDATE ("eta" or "ft"); Forrest–Tomlin
-//                    when unset.
-//   kForrestTomlin — rewrite U in place (spike column + row elimination);
-//                    long update chains between refactorizations.
-//   kEta           — legacy product-form eta file (refactorize-on-threshold).
-enum class BasisUpdateKind { kDefault, kEta, kForrestTomlin };
-
-// "eta" / "ft"; kDefault renders as "default".
-const char* BasisUpdateName(BasisUpdateKind kind);
 
 // SIMD dispatch of the double-precision LP kernels (lp/kernels.h).
 //   kDefault — consult LPB_LP_SIMD ("auto" or "scalar"); auto when unset.
-//              Like the other kDefault knobs, this is the only value that
-//              honors the env var, so tests pinning a mode stay pinned.
+//              This is the only value that honors the env var, so tests
+//              pinning a mode stay pinned.
 //   kAuto    — use the AVX2+FMA variants when the CPU supports them.
 //   kScalar  — force the scalar fallbacks. Bitwise-identical results to
 //              kAuto by construction (see lp/kernels.h); this mode exists
@@ -85,33 +65,27 @@ enum class SimdMode { kDefault, kAuto, kScalar };
 const char* SimdModeName(SimdMode mode);
 
 // Whether the cutting-plane engines carry the previous round's optimal
-// basis across cut-growth rounds (AddConstraintsWarm + dual-simplex repair,
-// see lp/lp_backend.h) instead of rebuilding the tableau and re-solving
+// basis across cut-growth rounds (SimplexTableau::AddConstraintsWarm +
+// dual-simplex repair) instead of rebuilding the tableau and re-solving
 // cold from the identity basis.
-//   kDefault — consult LPB_LP_CUT_WARM ("0"/"off" disables); on when unset.
-//              Like the other kDefault knobs, this is the only value that
-//              honors the env var, so tests pinning a mode stay pinned.
-//   kOn      — append cut rows warm; fall back to a cold rebuild only when
-//              the backend declines the append (see AddConstraintsWarm).
-//   kOff     — always rebuild + cold-solve per round (the pre-PR-7 path).
+//   kOn  — append cut rows warm (the default); fall back to a cold rebuild
+//          only when the tableau declines the append.
+//   kOff — always rebuild + cold-solve per round.
 // Warm and cold converge to the same bound (the cut oracle separates on
-// the optimal vertex either way); the knob exists as a correctness
-// fallback and for the warm-vs-cold differential tests.
-enum class CutWarmStart { kDefault, kOn, kOff };
-
-// "on" / "off"; kDefault renders as "default".
-const char* CutWarmStartName(CutWarmStart mode);
+// the optimal vertex either way); kOff is the reference the warm-vs-cold
+// differential tests compare against.
+enum class CutWarmStart { kOn, kOff };
 
 // Kernel identifiers for the per-kernel call/cycle table carried by
 // LpSolveStats (filled from the thread-local counters of lp/kernels.h).
 enum LpKernelId {
   kLpKernelAxpy = 0,      // y[i] = fma(a, x[i], y[i])         (double, SIMD)
   kLpKernelDot,           // 4-accumulator fma dot             (double, SIMD)
-  kLpKernelNormalizeRhs,  // out[i] = sign[i]*b[i] + term[i]   (double, SIMD)
+  kLpKernelNormalizeRhs,  // out[i] = sign[i]*b[i]             (double, SIMD)
   kLpKernelEqual,         // all-equal predicate (IEEE !=)     (double, SIMD)
-  kLpKernelGather,        // strided B^-1 column axpy          (long double)
-  kLpKernelSweep,         // pivot-row elimination sweep       (long double)
-  kLpKernelScale,         // pivot-row normalization           (long double)
+  kLpKernelGather,        // retired (dense tableau); never counted
+  kLpKernelSweep,         // x_B -= theta*w pivot sweep        (long double)
+  kLpKernelScale,         // retired (dense tableau); never counted
   kLpKernelFtranBlock,    // blocked multi-RHS FTRAN           (long double)
   kNumLpKernels,
 };
@@ -131,10 +105,10 @@ struct LpSolveStats {
   int dual_pivots = 0;        // dual-simplex (warm repair) pivots
   int refactorizations = 0;   // full LU factorizations after the first
   int ft_updates = 0;         // Forrest–Tomlin in-place U updates taken
-  int eta_updates = 0;        // product-form eta updates taken
   int rejected_updates = 0;   // updates refused (unstable), forcing refactor
   int devex_resets = 0;       // Devex reference-framework resets
-  // Warm cut-round accounting (see AddConstraintsWarm in lp/lp_backend.h).
+  // Warm cut-round accounting (see SimplexTableau::AddConstraintsWarm,
+  // lp/tableau.h).
   int warm_cut_rounds = 0;          // cut rounds served by a warm row append
   int dual_repair_pivots = 0;       // dual pivots spent repairing appended
                                     // rows (a subset of dual_pivots)
@@ -162,7 +136,6 @@ struct LpSolveStats {
     dual_pivots = 0;
     refactorizations = 0;
     ft_updates = 0;
-    eta_updates = 0;
     rejected_updates = 0;
     devex_resets = 0;
     warm_cut_rounds = 0;
@@ -176,7 +149,6 @@ struct LpSolveStats {
     dual_pivots += o.dual_pivots;
     refactorizations += o.refactorizations;
     ft_updates += o.ft_updates;
-    eta_updates += o.eta_updates;
     rejected_updates += o.rejected_updates;
     devex_resets += o.devex_resets;
     warm_cut_rounds += o.warm_cut_rounds;
@@ -210,10 +182,7 @@ struct LpResult {
   int iterations = 0;
   // Which evaluation path produced this result (always kCold for SolveLp).
   LpEvalPath path = LpEvalPath::kCold;
-  // Which solver backend produced this result (never kDefault).
-  LpBackendKind backend = LpBackendKind::kDense;
-  // Which pricing rule the primal phases ran (never kDefault; always
-  // kDantzig from the dense backend).
+  // Which pricing rule the primal phases ran.
   PricingRule pricing = PricingRule::kDantzig;
   // Pivot / update / refactorization counters for this call.
   LpSolveStats stats;
@@ -222,32 +191,19 @@ struct LpResult {
 struct SimplexOptions {
   double eps = 1e-9;          // pivot / feasibility tolerance
   int max_iterations = 0;     // 0 = automatic (50 * (rows + cols) + 1000)
-  // Optional right-hand-side perturbation (b_i += perturb * (1 + i mod 101)).
-  // Degeneracy is handled by the lexicographic ratio test, so this defaults
-  // to off; it remains available for experimentation.
-  double perturb = 0.0;
-  // Solver implementation. kDefault reads LPB_LP_BACKEND and falls back to
-  // the dense tableau; set kDense/kRevised to pin a backend regardless of
-  // the environment.
-  LpBackendKind backend = LpBackendKind::kDefault;
-  // Pricing rule for the revised backend's primal phases (ignored by the
-  // dense tableau, which always runs Dantzig). kDefault reads
-  // LPB_LP_PRICING and falls back to Dantzig; set kDantzig/kDevex to pin.
-  PricingRule pricing = PricingRule::kDefault;
-  // Basis-update scheme of the revised backend (ignored by dense).
-  // kDefault reads LPB_LP_UPDATE and falls back to Forrest–Tomlin.
-  BasisUpdateKind basis_update = BasisUpdateKind::kDefault;
-  // Basis updates carried between full refactorizations (revised backend).
-  // 0 = automatic: 64 for Forrest–Tomlin, 32 for the eta file. The fill
-  // budget in lp/lu_basis.h can force an earlier refactorization either way.
+  // Pricing rule of the primal phases (see the enum above).
+  PricingRule pricing = PricingRule::kDantzig;
+  // Forrest–Tomlin basis updates carried between full refactorizations.
+  // 0 = automatic (64). The fill budget in lp/lu_basis.h can force an
+  // earlier refactorization either way.
   int max_basis_updates = 0;
   // SIMD dispatch of the double-precision kernels (lp/kernels.h). kDefault
   // reads LPB_LP_SIMD and falls back to kAuto; results are bit-identical
   // under every mode, so this is a pure performance/debugging knob.
   SimdMode simd = SimdMode::kDefault;
   // Warm-started cut rounds in the cutting-plane engines (see the enum
-  // above). kDefault reads LPB_LP_CUT_WARM and falls back to on.
-  CutWarmStart cut_warm_start = CutWarmStart::kDefault;
+  // above).
+  CutWarmStart cut_warm_start = CutWarmStart::kOn;
 };
 
 // Solves the LP. The problem is copied into an internal tableau; `problem`

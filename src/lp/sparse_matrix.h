@@ -10,7 +10,7 @@
 // The matrix is append-only: columns are added once at Build time and never
 // modified (the revised simplex never rewrites A; all state lives in the
 // basis factorization). Entries within a column are kept sorted by row and
-// coalesced, matching the dense tableau's "+=" assembly of repeated terms.
+// coalesced: repeated terms of a constraint add up ("+=" assembly).
 #ifndef LPB_LP_SPARSE_MATRIX_H_
 #define LPB_LP_SPARSE_MATRIX_H_
 
@@ -61,7 +61,7 @@ class SparseMatrix {
   int ColNnz(int j) const { return col_start_[j + 1] - col_start_[j]; }
 
   // x' A[:, j] — the per-column work of revised-simplex pricing. Templated
-  // so the revised backend can accumulate in long double (its working
+  // so the revised simplex can accumulate in long double (its working
   // precision; see lp/revised_simplex.h) against double matrix entries.
   template <typename T>
   T DotColumn(int j, const std::vector<T>& x) const {

@@ -4,23 +4,14 @@ namespace lpb {
 
 SimplexTableau::SimplexTableau(const LpProblem& problem,
                                const SimplexOptions& options)
-    : kind_(ResolveLpBackend(options)),
-      num_constraints_(problem.num_constraints()) {
-  SimplexOptions resolved = options;
-  resolved.backend = kind_;
-  impl_ = MakeLpBackend(problem, resolved);
-}
+    : num_constraints_(problem.num_constraints()), solver_(problem, options) {}
 
 LpResult SimplexTableau::Solve(const std::vector<double>& rhs) {
-  LpResult result = impl_->Solve(rhs);
-  result.backend = kind_;
-  return result;
+  return solver_.Solve(rhs);
 }
 
 LpResult SimplexTableau::ResolveWithRhs(const std::vector<double>& rhs) {
-  LpResult result = impl_->ResolveWithRhs(rhs);
-  result.backend = kind_;
-  return result;
+  return solver_.ResolveWithRhs(rhs);
 }
 
 std::vector<LpResult> SimplexTableau::ResolveWithRhsBatch(
@@ -33,23 +24,20 @@ std::vector<LpResult> SimplexTableau::ResolveWithRhsBatch(
 void SimplexTableau::ResolveWithRhsBatch(
     std::span<const std::vector<double>> rhs_batch,
     std::vector<LpResult>& out) {
-  impl_->ResolveWithRhsBatch(rhs_batch, out);
-  for (LpResult& result : out) result.backend = kind_;
+  solver_.ResolveWithRhsBatch(rhs_batch, out);
 }
 
 void SimplexTableau::ResolveWithRhsBatchRelaxed(
     std::span<const std::vector<double>> rhs_batch,
     std::vector<LpResult>& out) {
-  impl_->ResolveWithRhsBatchRelaxed(rhs_batch, out);
-  for (LpResult& result : out) result.backend = kind_;
+  solver_.ResolveWithRhsBatchRelaxed(rhs_batch, out);
 }
 
 bool SimplexTableau::AddConstraintsWarm(const std::vector<LpConstraint>& rows,
                                         const std::vector<double>& rhs,
                                         LpResult& result) {
-  if (!impl_->AddConstraintsWarm(rows, rhs, result)) return false;
+  if (!solver_.AddConstraintsWarm(rows, rhs, result)) return false;
   num_constraints_ += static_cast<int>(rows.size());
-  result.backend = kind_;
   return true;
 }
 

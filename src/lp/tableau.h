@@ -21,22 +21,19 @@
 //   * kCold — no cached basis (first solve, or the previous solve did not
 //     end optimal), or the warm path failed; full two-phase primal simplex.
 //
-// The pivoting itself is delegated to one of two backends chosen at
-// construction (SimplexOptions::backend, or the LPB_LP_BACKEND environment
-// variable when the option is kDefault): the dense long-double tableau
-// (lp/dense_tableau.h, the default) or the sparse revised simplex with an
-// LU-factorized basis (lp/revised_simplex.h). Both honor the identical
-// contract; LpResult::backend reports which one served a result. See
-// src/lp/README.md for the selection and parity story.
+// The pivoting itself is done by the sparse revised simplex with an
+// LU-factorized basis (lp/revised_simplex.h), which this handle owns. Its
+// results are checked against an independent dense-tableau oracle by the
+// randomized differential harness (tests/test_simplex_differential.cc);
+// see src/lp/README.md.
 #ifndef LPB_LP_TABLEAU_H_
 #define LPB_LP_TABLEAU_H_
 
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "lp/lp_backend.h"
 #include "lp/lp_problem.h"
+#include "lp/revised_simplex.h"
 #include "lp/simplex.h"
 
 namespace lpb {
@@ -49,9 +46,6 @@ class SimplexTableau {
                           const SimplexOptions& options = {});
 
   int num_constraints() const { return num_constraints_; }
-
-  // Which backend this tableau pivots with (resolved, never kDefault).
-  LpBackendKind backend() const { return kind_; }
 
   // Cold two-phase solve. `rhs` (size num_constraints) overrides the
   // problem's right-hand sides; empty uses the problem's own. On an optimal
@@ -66,10 +60,10 @@ class SimplexTableau {
   // Multi-RHS warm re-solve: runs the cascade on every column of
   // `rhs_batch` in order, producing results identical to per-column
   // ResolveWithRhs calls (the cached basis evolves across columns exactly
-  // as it would across scalar calls). The revised backend amortizes the
-  // block: one cached LU factorization serves an FTRAN per column and the
-  // cached duals (one cost-row BTRAN) serve every witness-valid column;
-  // only columns whose basis goes stale pay dual-simplex or cold work.
+  // as it would across scalar calls). The block is amortized: one cached
+  // LU factorization serves an FTRAN per column and the cached duals (one
+  // cost-row BTRAN) serve every witness-valid column; only columns whose
+  // basis goes stale pay dual-simplex or cold work.
   std::vector<LpResult> ResolveWithRhsBatch(
       std::span<const std::vector<double>> rhs_batch);
   // Allocation-free form: results land in `out` (resized and fully
@@ -95,23 +89,24 @@ class SimplexTableau {
   // the previous optimum keeps its duals, so the extended basis is dual
   // feasible by construction — and runs dual simplex to repair only the
   // rows the old optimum violates. `rhs` is the full new RHS including the
-  // appended rows. Returns false when the backend declines (no cached
-  // basis, a row that does not normalize to <=, or an existing artificial
-  // column); on decline the tableau is unchanged and the caller must
-  // recompile + solve cold. See LpBackendImpl::AddConstraintsWarm.
+  // appended rows; callers that keep their own LpProblem (for a later cold
+  // rebuild) must mirror the append there themselves. Returns false when
+  // the tableau declines (no cached basis, a row that does not normalize
+  // to <=, or an existing artificial column); on decline the tableau is
+  // unchanged and the caller must recompile + solve cold, and `result` is
+  // untouched.
   bool AddConstraintsWarm(const std::vector<LpConstraint>& rows,
                           const std::vector<double>& rhs, LpResult& result);
 
   // True after a solve that ended kOptimal: ResolveWithRhs can warm-start.
-  bool has_optimal_basis() const { return impl_->has_optimal_basis(); }
+  bool has_optimal_basis() const { return solver_.has_optimal_basis(); }
   // Basic column index per row of the cached basis (internal column ids:
   // structural columns first, then slack/surplus, then artificial).
-  const std::vector<int>& basis() const { return impl_->basis(); }
+  const std::vector<int>& basis() const { return solver_.basis(); }
 
  private:
-  LpBackendKind kind_;
   int num_constraints_;
-  std::unique_ptr<LpBackendImpl> impl_;
+  RevisedSimplex solver_;
 };
 
 }  // namespace lpb

@@ -1,8 +1,7 @@
 // Property tests for the bound layer, on random hypergraphs over
 // Zipf-skewed relations (util/zipf.h).
 //
-// Three laws every bound engine must obey, checked under both LP backends
-// (dense tableau and revised simplex):
+// Three laws every bound engine must obey:
 //   * soundness   — every bound upper-bounds the true join size computed
 //                   by the worst-case-optimal join (exec/generic_join.h);
 //   * monotonicity — the bound LP is a relaxation in each ℓp-norm input:
@@ -92,15 +91,6 @@ Catalog RandomDb(Rng& rng, const Query& q,
   return db;
 }
 
-EngineOptions BackendOptions(LpBackendKind kind) {
-  EngineOptions options;
-  options.simplex.backend = kind;
-  return options;
-}
-
-constexpr LpBackendKind kBackends[] = {LpBackendKind::kDense,
-                                       LpBackendKind::kRevised};
-
 TEST(BoundProperties, EveryBoundUpperBoundsTrueJoinSize) {
   Rng rng(71);
   for (int trial = 0; trial < 12; ++trial) {
@@ -115,21 +105,18 @@ TEST(BoundProperties, EveryBoundUpperBoundsTrueJoinSize) {
     const auto stats = CollectStatistics(q, db);
     const BoundStructure structure = StructureOf(q.num_vars(), stats);
     const std::vector<double> values = ValuesOf(stats);
-    for (LpBackendKind backend : kBackends) {
-      for (const char* engine_name : {"auto", "gamma", "agm", "panda"}) {
-        const BoundEngine* engine = FindBoundEngine(engine_name);
-        ASSERT_NE(engine, nullptr);
-        if (!engine->Supports(structure)) continue;
-        auto compiled = engine->Compile(structure, BackendOptions(backend));
-        const BoundResult bound = compiled->Evaluate(values);
-        if (truth == 0) continue;  // any bound is trivially sound
-        ASSERT_TRUE(bound.ok() || bound.unbounded())
-            << engine_name << " trial " << trial;
-        if (bound.unbounded()) continue;
-        EXPECT_GE(bound.log2_bound, log2_truth - 1e-6)
-            << engine_name << " backend " << LpBackendName(backend)
-            << " trial " << trial << " query " << q.ToString();
-      }
+    for (const char* engine_name : {"auto", "gamma", "agm", "panda"}) {
+      const BoundEngine* engine = FindBoundEngine(engine_name);
+      ASSERT_NE(engine, nullptr);
+      if (!engine->Supports(structure)) continue;
+      auto compiled = engine->Compile(structure);
+      const BoundResult bound = compiled->Evaluate(values);
+      if (truth == 0) continue;  // any bound is trivially sound
+      ASSERT_TRUE(bound.ok() || bound.unbounded())
+          << engine_name << " trial " << trial;
+      if (bound.unbounded()) continue;
+      EXPECT_GE(bound.log2_bound, log2_truth - 1e-6)
+          << engine_name << " trial " << trial << " query " << q.ToString();
     }
   }
 }
@@ -145,33 +132,28 @@ TEST(BoundProperties, BoundIsMonotoneInEachInput) {
     const auto stats = CollectStatistics(q, db);
     const BoundStructure structure = StructureOf(q.num_vars(), stats);
     const std::vector<double> values = ValuesOf(stats);
-    for (LpBackendKind backend : kBackends) {
-      auto compiled = FindBoundEngine("auto")->Compile(
-          structure, BackendOptions(backend));
-      const BoundResult base = compiled->Evaluate(values);
-      ASSERT_TRUE(base.ok()) << "trial " << trial;
-      for (size_t i = 0; i < values.size(); ++i) {
-        // Loosening statistic i relaxes its constraint: weakly larger
-        // bound. Tightening it weakly shrinks the bound. These perturbed
-        // re-evaluations also exercise the witness/warm re-solve cascade
-        // on the compiled bound.
-        std::vector<double> up = values;
-        up[i] += 0.75;
-        const BoundResult looser = compiled->Evaluate(up);
-        ASSERT_TRUE(looser.ok() || looser.unbounded());
-        const double loose_bound =
-            looser.unbounded() ? kInfNorm : looser.log2_bound;
-        EXPECT_GE(loose_bound, base.log2_bound - 1e-6)
-            << "stat " << i << " backend " << LpBackendName(backend)
-            << " trial " << trial;
-        std::vector<double> down = values;
-        down[i] = std::max(0.0, down[i] - 0.75);
-        const BoundResult tighter = compiled->Evaluate(down);
-        if (tighter.ok()) {
-          EXPECT_LE(tighter.log2_bound, base.log2_bound + 1e-6)
-              << "stat " << i << " backend " << LpBackendName(backend)
-              << " trial " << trial;
-        }
+    auto compiled = FindBoundEngine("auto")->Compile(structure);
+    const BoundResult base = compiled->Evaluate(values);
+    ASSERT_TRUE(base.ok()) << "trial " << trial;
+    for (size_t i = 0; i < values.size(); ++i) {
+      // Loosening statistic i relaxes its constraint: weakly larger
+      // bound. Tightening it weakly shrinks the bound. These perturbed
+      // re-evaluations also exercise the witness/warm re-solve cascade
+      // on the compiled bound.
+      std::vector<double> up = values;
+      up[i] += 0.75;
+      const BoundResult looser = compiled->Evaluate(up);
+      ASSERT_TRUE(looser.ok() || looser.unbounded());
+      const double loose_bound =
+          looser.unbounded() ? kInfNorm : looser.log2_bound;
+      EXPECT_GE(loose_bound, base.log2_bound - 1e-6)
+          << "stat " << i << " trial " << trial;
+      std::vector<double> down = values;
+      down[i] = std::max(0.0, down[i] - 0.75);
+      const BoundResult tighter = compiled->Evaluate(down);
+      if (tighter.ok()) {
+        EXPECT_LE(tighter.log2_bound, base.log2_bound + 1e-6)
+            << "stat " << i << " trial " << trial;
       }
     }
   }
@@ -189,20 +171,16 @@ TEST(BoundProperties, AgmDominatesLpNormBound) {
     const auto stats = CollectStatistics(q, db);
     const BoundStructure structure = StructureOf(q.num_vars(), stats);
     const std::vector<double> values = ValuesOf(stats);
-    for (LpBackendKind backend : kBackends) {
-      const EngineOptions options = BackendOptions(backend);
-      auto agm = FindBoundEngine("agm")->Compile(structure, options);
-      auto full = FindBoundEngine("auto")->Compile(structure, options);
-      const BoundResult agm_bound = agm->Evaluate(values);
-      const BoundResult full_bound = full->Evaluate(values);
-      if (!agm_bound.ok() || !full_bound.ok()) continue;
-      ++comparable;
-      // AGM sees only the cardinality statistics — a subset — so its LP is
-      // a relaxation of the full one.
-      EXPECT_GE(agm_bound.log2_bound, full_bound.log2_bound - 1e-6)
-          << "backend " << LpBackendName(backend) << " trial " << trial
-          << " query " << q.ToString();
-    }
+    auto agm = FindBoundEngine("agm")->Compile(structure);
+    auto full = FindBoundEngine("auto")->Compile(structure);
+    const BoundResult agm_bound = agm->Evaluate(values);
+    const BoundResult full_bound = full->Evaluate(values);
+    if (!agm_bound.ok() || !full_bound.ok()) continue;
+    ++comparable;
+    // AGM sees only the cardinality statistics — a subset — so its LP is
+    // a relaxation of the full one.
+    EXPECT_GE(agm_bound.log2_bound, full_bound.log2_bound - 1e-6)
+        << "trial " << trial << " query " << q.ToString();
   }
   EXPECT_GT(comparable, 8);
 }

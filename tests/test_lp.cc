@@ -273,20 +273,6 @@ TEST(Simplex, ManyHomogeneousRowsDegenerateOrigin) {
   }
 }
 
-TEST(Simplex, PerturbationOptionStaysAccurate) {
-  SimplexOptions opt;
-  opt.perturb = 1e-9;
-  LpProblem lp(2);
-  lp.SetObjective(0, 3.0);
-  lp.SetObjective(1, 5.0);
-  lp.AddConstraint({{0, 1.0}}, LpSense::kLe, 4.0);
-  lp.AddConstraint({{1, 2.0}}, LpSense::kLe, 12.0);
-  lp.AddConstraint({{0, 3.0}, {1, 2.0}}, LpSense::kLe, 18.0);
-  LpResult r = SolveLp(lp, opt);
-  ASSERT_EQ(r.status, LpStatus::kOptimal);
-  EXPECT_NEAR(r.objective, 36.0, 1e-5);
-}
-
 TEST(Simplex, EqualityWithNegativeRhs) {
   // -x - y = -3 normalizes to x + y = 3.
   LpProblem lp(2);

@@ -10,7 +10,7 @@
 // aligned-only data. On machines without AVX2+FMA both tables are the
 // scalar one and the comparisons hold trivially.
 //
-// Also here: the Arena allocator the backends use for kernel-fed scratch
+// Also here: the Arena allocator the simplex uses for kernel-fed scratch
 // (alignment, reuse-after-reset, capacity stability), and the blocked
 // FTRAN's lane-for-lane bitwise equivalence with the solo FTRAN.
 #include <gtest/gtest.h>
@@ -89,15 +89,12 @@ TEST(LpKernels, NormalizeRhsBitwiseParityAcrossSizesAndAlignments) {
       std::vector<double> sign(n + off);
       for (double& s : sign) s = rng.Bernoulli(0.5) ? 1.0 : -1.0;
       const std::vector<double> b = RandomVec(rng, n, off);
-      std::vector<double> term = RandomVec(rng, n, off);
-      // The perturb = 0 case (term identically +0.0) is the hot one.
-      if (n % 3 == 0) std::fill(term.begin(), term.end(), 0.0);
       std::vector<double> outs(n + off, -1.0);
       std::vector<double> outv(n + off, -1.0);
       scalar.normalize_rhs_d(sign.data() + off, b.data() + off,
-                             term.data() + off, outs.data() + off, n);
+                             outs.data() + off, n);
       dispatch.normalize_rhs_d(sign.data() + off, b.data() + off,
-                               term.data() + off, outv.data() + off, n);
+                               outv.data() + off, n);
       for (int i = 0; i < n; ++i) {
         ASSERT_EQ(outs[off + i], outv[off + i])
             << "n=" << n << " off=" << off << " i=" << i;
@@ -227,6 +224,40 @@ TEST(Arena, CapacityStableAcrossResetCycles) {
   EXPECT_GT(cap, 0u);
   for (int i = 0; i < 10; ++i) cycle();
   // No growth while the request shapes repeat.
+  EXPECT_EQ(arena.CapacityBytes(), cap);
+}
+
+TEST(Arena, SmallRequestHoldsSmallCapacity) {
+  // The default arena sizes chunks to the demand: an LP needing a few
+  // hundred bytes of scratch must not pin a fixed floor chunk.
+  Arena arena;
+  arena.AllocArray<double>(10);
+  EXPECT_EQ(arena.CapacityBytes(), 96u);  // 80 bytes, rounded to kArenaAlign
+  arena.Reset();
+  arena.AllocArray<double>(10);
+  EXPECT_EQ(arena.CapacityBytes(), 96u);
+}
+
+TEST(Arena, ResetFoldsOutgrownChunksIntoOne) {
+  // A grown LP (cut rounds append rows) outgrows the chunks its previous
+  // solve left behind; the next Reset must replace them by one chunk of
+  // exactly the grown demand, not keep the outgrown ones around.
+  Arena arena;
+  auto cycle = [&](std::size_t rows) {
+    arena.Reset();
+    arena.AllocArray<double>(rows);
+    arena.AllocArray<double>(rows * rows);
+  };
+  cycle(8);
+  EXPECT_EQ(arena.CapacityBytes(), 64u + 512u);
+  cycle(16);  // spills past the two 8-row chunks
+  EXPECT_GT(arena.CapacityBytes(), 128u + 2048u);
+  cycle(16);
+  EXPECT_EQ(arena.CapacityBytes(), 128u + 2048u);
+  const std::size_t cap = arena.CapacityBytes();
+  for (int i = 0; i < 5; ++i) cycle(16);
+  EXPECT_EQ(arena.CapacityBytes(), cap);
+  cycle(8);  // shrinking fits the folded chunk: nothing is reallocated
   EXPECT_EQ(arena.CapacityBytes(), cap);
 }
 

@@ -205,12 +205,10 @@ TEST(SimplexTableau, RandomResolvesMatchFromScratch) {
 // size `x`/`duals` — a default-constructed LpResult reads as
 // kIterationLimit with empty vectors, and solver paths that forgot to
 // overwrite those leaked stale shapes to callers indexing unconditionally.
-// Both backends are held to the contract.
-class LpFailureContract : public testing::TestWithParam<LpBackendKind> {
+class LpFailureContract : public testing::Test {
  protected:
-  SimplexOptions Options(int max_iterations = 0) const {
+  static SimplexOptions Options(int max_iterations = 0) {
     SimplexOptions options;
-    options.backend = GetParam();
     options.max_iterations = max_iterations;
     return options;
   }
@@ -220,7 +218,7 @@ class LpFailureContract : public testing::TestWithParam<LpBackendKind> {
   }
 };
 
-TEST_P(LpFailureContract, InfeasibleSolveSizesResult) {
+TEST_F(LpFailureContract, InfeasibleSolveSizesResult) {
   LpProblem lp(2);
   lp.SetObjective(0, 1.0);
   lp.AddConstraint({{0, 1.0}, {1, 1.0}}, LpSense::kLe, 1.0);
@@ -232,7 +230,7 @@ TEST_P(LpFailureContract, InfeasibleSolveSizesResult) {
   EXPECT_FALSE(tableau.has_optimal_basis());
 }
 
-TEST_P(LpFailureContract, UnboundedSolveSizesResult) {
+TEST_F(LpFailureContract, UnboundedSolveSizesResult) {
   LpProblem lp(2);
   lp.SetObjective(0, 1.0);
   lp.AddConstraint({{1, 1.0}}, LpSense::kLe, 3.0);  // x unconstrained
@@ -242,7 +240,7 @@ TEST_P(LpFailureContract, UnboundedSolveSizesResult) {
   ExpectSized(r, lp);
 }
 
-TEST_P(LpFailureContract, IterationLimitSizesResult) {
+TEST_F(LpFailureContract, IterationLimitSizesResult) {
   // One iteration cannot finish phase 1 of this >=-heavy problem.
   LpProblem lp(3);
   for (int j = 0; j < 3; ++j) lp.SetObjective(j, 1.0);
@@ -256,7 +254,7 @@ TEST_P(LpFailureContract, IterationLimitSizesResult) {
   EXPECT_FALSE(tableau.has_optimal_basis());
 }
 
-TEST_P(LpFailureContract, ResolveIntoInfeasibleSizesResult) {
+TEST_F(LpFailureContract, ResolveIntoInfeasibleSizesResult) {
   LpProblem lp = Textbook();
   SimplexTableau tableau(lp, Options());
   ASSERT_EQ(tableau.Solve().status, LpStatus::kOptimal);
@@ -266,11 +264,9 @@ TEST_P(LpFailureContract, ResolveIntoInfeasibleSizesResult) {
   const LpResult r = tableau.ResolveWithRhs({-1.0, 12.0, 18.0});
   EXPECT_EQ(r.status, LpStatus::kInfeasible);
   ExpectSized(r, lp);
-  // And the result reports which backend produced it.
-  EXPECT_EQ(r.backend, GetParam());
 }
 
-TEST_P(LpFailureContract, DefaultResultIsNotSolved) {
+TEST_F(LpFailureContract, DefaultResultIsNotSolved) {
   // The guard the contract hangs off: a default LpResult must read as a
   // failure, never as optimal.
   LpResult fresh;
@@ -278,13 +274,6 @@ TEST_P(LpFailureContract, DefaultResultIsNotSolved) {
   EXPECT_TRUE(fresh.x.empty());
   EXPECT_TRUE(fresh.duals.empty());
 }
-
-INSTANTIATE_TEST_SUITE_P(BothBackends, LpFailureContract,
-                         testing::Values(LpBackendKind::kDense,
-                                         LpBackendKind::kRevised),
-                         [](const testing::TestParamInfo<LpBackendKind>& i) {
-                           return std::string(LpBackendName(i.param));
-                         });
 
 // ---------------------------------------------------------------------------
 // LuBasis unit tests: the Forrest–Tomlin update against a from-scratch
@@ -408,19 +397,6 @@ TEST(LuBasisForrestTomlin, UpdateBudgetTripsNeedsRefactorize) {
   ASSERT_TRUE(lu.Factorize(a, basis));
   EXPECT_FALSE(lu.NeedsRefactorize());
   EXPECT_EQ(lu.update_count(), 0);
-}
-
-TEST(LuBasisForrestTomlin, LegacyEtaModeStillWorks) {
-  SparseMatrix a = FtTestMatrix();
-  std::vector<int> basis = {0, 1, 2, 3, 4};
-  LuOptions options;
-  options.forrest_tomlin = false;
-  LuBasis lu(options);
-  ASSERT_TRUE(lu.Factorize(a, basis));
-  const std::vector<Scalar> w = FtranColumn(lu, a, 5);
-  ASSERT_TRUE(lu.Update(a, 5, w, 2));
-  basis[2] = 5;
-  ExpectSameSolves(lu, a, basis, "eta update");
 }
 
 // The bound-LP shape: homogeneous >= rows (Shannon cuts) whose RHS stays 0
