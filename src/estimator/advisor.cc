@@ -24,13 +24,13 @@ std::vector<int> ColumnsOf(const Atom& atom, VarSet s) {
 
 // One degree-sequence lookup a query's statistics assembly needs: the
 // norm-store key plus how its cached norms materialize into statistics
-// (every maintained norm for a conditional, only the ℓ1 entry for a
+// (every maintained norm for a conditional, one ℓ1 statistic for a
 // cardinality assertion). The scalar and batched assembly paths share
 // this enumeration, which is what makes their outputs bitwise identical.
 struct StatRequest {
   ShardedNormCache::Key key;
   Conditional sigma;
-  bool cardinality = false;  // emit only the p == 1 norm (ℓ1 of deg(V|∅))
+  bool cardinality = false;  // emit one p == 1 statistic: |Π_V(R)|
   int guard_atom = -1;
 };
 
@@ -65,21 +65,37 @@ std::vector<StatRequest> EnumerateStatRequests(const Query& query) {
   return requests;
 }
 
+// The maintained norm a cardinality assertion reads. deg(V|∅) has exactly
+// one entry, |Π_V(R)|, so every norm of it is that entry. The ℓ1 and ℓ∞
+// slots hold exactly its log2; any other slot may be an ulp off, so it is
+// read only when neither is maintained.
+size_t CardinalitySlot(const std::vector<double>& norm_ps) {
+  for (size_t k = 0; k < norm_ps.size(); ++k) {
+    if (norm_ps[k] == 1.0 || norm_ps[k] >= kInfNorm / 2) return k;
+  }
+  return 0;
+}
+
 // Materializes one request's statistics from its cached norm vector
 // (aligned with `norm_ps`, the advisor's maintained norm indices).
 void AppendStats(const StatRequest& request,
                  const std::vector<double>& log_norms,
                  const std::vector<double>& norm_ps,
                  std::vector<ConcreteStatistic>& stats) {
+  ConcreteStatistic s;
+  s.sigma = request.sigma;
+  s.guard_atom = request.guard_atom;
+  if (request.cardinality) {
+    if (norm_ps.empty()) return;
+    s.p = 1.0;
+    s.log_b = log_norms[CardinalitySlot(norm_ps)];
+    stats.push_back(s);
+    return;
+  }
   for (size_t k = 0; k < norm_ps.size(); ++k) {
-    if (request.cardinality && norm_ps[k] != 1.0) continue;
-    ConcreteStatistic s;
-    s.sigma = request.sigma;
     s.p = norm_ps[k];
     s.log_b = log_norms[k];
-    s.guard_atom = request.guard_atom;
     stats.push_back(s);
-    if (request.cardinality) break;
   }
 }
 
@@ -98,8 +114,9 @@ std::vector<double> CardinalityAdvisor::CachedNorms(
   ShardedNormCache::Key key{relation, u_cols, v_cols};
   ShardedNormCache::Lookup lookup = norms_.Get(key);
   if (lookup.found) return std::move(lookup.norms);
-  // Compute outside the shard lock: degree-sequence extraction is
-  // O(N log N) and must not serialize concurrent estimators. A racing
+  // Compute outside the shard lock: degree-sequence extraction sorts the
+  // whole relation (a packed-key radix sort, or a comparator sort past 64
+  // key bits) and must not serialize concurrent estimators. A racing
   // thread may compute the same entry; both arrive at identical values, so
   // last-write-wins is harmless. Put refuses the insert if an Invalidate
   // ran meanwhile (the norms may reflect pre-update data — serve them for
@@ -147,7 +164,7 @@ CardinalityAdvisor::AssembleStatisticsBatch(std::span<const Query> queries) {
 
   // One GetBatch over the distinct keys: each touched store shard's mutex
   // is taken once for the whole batch (norm_cache.h). Misses are computed
-  // outside any lock — same O(N log N) extraction and the same Log2NormP
+  // outside any lock — same degree-sequence kernel and the same Log2NormP
   // sequence as the scalar path — and re-inserted through one PutBatch,
   // each under the generation its GetBatch observed (a concurrent
   // Invalidate refuses the stale insert but this batch still serves its

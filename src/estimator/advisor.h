@@ -3,8 +3,8 @@
 //
 // Two caches make the hot path cheap enough for optimizer traffic:
 //   * statistics store — ℓp norms per (relation, conditional), computed
-//     lazily (O(N log N) per degree sequence, footnote 1) and reused across
-//     queries. The store is sharded by relation (estimator/norm_cache.h):
+//     lazily (a packed-key radix sort plus one linear scan per degree
+//     sequence, relation/degree_sequence.h) and reused across queries. The store is sharded by relation (estimator/norm_cache.h):
 //     concurrent estimator threads looking up different relations take
 //     different mutexes, and each shard is an LRU map under a byte budget,
 //     so statistics memory stays bounded on wide catalogs (an evicted
@@ -86,7 +86,8 @@ struct AdvisorMetrics {
   uint64_t cold_solves = 0;      // full LP solve
   uint64_t norm_evictions = 0;   // statistics-store LRU evictions
   // Statistics-store traffic (estimator/norm_cache.h): lookup hits and
-  // misses (a miss is an O(N log N) degree-sequence recompute) and
+  // misses (a miss is a degree-sequence recompute: a radix sort of the
+  // relation's packed rows, relation/degree_sequence.h) and
   // data-path shard-mutex acquisitions. Batched assembly keeps the last
   // near "distinct shards touched per batch" instead of "statistics per
   // batch"; the bench JSON surfaces all three so cache efficacy is gated,

@@ -1,14 +1,62 @@
 #include "relation/relation.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <numeric>
 
 namespace lpb {
+namespace {
+
+// Below this many rows a comparison sort of the words beats radix passes
+// over 2^11-counter histograms.
+constexpr size_t kRadixMinRows = 256;
+// Widest radix digit: 2^11 counters per pass stay in L1.
+constexpr int kMaxDigitBits = 11;
+
+// Sorts `words` ascending; every word is below 2^bits. LSD radix sort with
+// the fewest passes of at most kMaxDigitBits bits. One read pass fills all
+// the passes' histograms, and a pass whose digit every word shares is
+// skipped.
+void RadixSort(std::vector<uint64_t>& words, int bits) {
+  const size_t n = words.size();
+  if (n < kRadixMinRows) {
+    std::sort(words.begin(), words.end());
+    return;
+  }
+  if (bits == 0) return;
+  const int passes = (bits + kMaxDigitBits - 1) / kMaxDigitBits;
+  const int digit_bits = (bits + passes - 1) / passes;
+  const size_t buckets = size_t{1} << digit_bits;
+  const uint64_t mask = buckets - 1;
+  std::vector<size_t> counts(passes * buckets, 0);
+  for (const uint64_t w : words) {
+    for (int p = 0; p < passes; ++p) {
+      ++counts[p * buckets + ((w >> (p * digit_bits)) & mask)];
+    }
+  }
+  std::vector<uint64_t> scratch(n);
+  for (int p = 0; p < passes; ++p) {
+    const int shift = p * digit_bits;
+    size_t* offset = &counts[p * buckets];
+    if (offset[(words[0] >> shift) & mask] == n) continue;
+    size_t sum = 0;
+    for (size_t b = 0; b < buckets; ++b) {
+      const size_t count = offset[b];
+      offset[b] = sum;
+      sum += count;
+    }
+    for (const uint64_t w : words) scratch[offset[(w >> shift) & mask]++] = w;
+    words.swap(scratch);
+  }
+}
+
+}  // namespace
 
 Relation::Relation(std::string name, std::vector<std::string> attrs)
     : name_(std::move(name)), attrs_(std::move(attrs)) {
   cols_.resize(attrs_.size());
+  max_.resize(attrs_.size(), 0);
 }
 
 int Relation::AttrIndex(const std::string& name) const {
@@ -20,14 +68,21 @@ int Relation::AttrIndex(const std::string& name) const {
 
 void Relation::AddRow(const std::vector<Value>& row) {
   assert(static_cast<int>(row.size()) == arity());
-  for (int i = 0; i < arity(); ++i) cols_[i].push_back(row[i]);
+  for (int i = 0; i < arity(); ++i) {
+    cols_[i].push_back(row[i]);
+    max_[i] = std::max(max_[i], row[i]);
+  }
   ++num_rows_;
 }
 
 void Relation::AddRow(std::initializer_list<Value> row) {
   assert(static_cast<int>(row.size()) == arity());
   int i = 0;
-  for (Value v : row) cols_[i++].push_back(v);
+  for (Value v : row) {
+    cols_[i].push_back(v);
+    max_[i] = std::max(max_[i], v);
+    ++i;
+  }
   ++num_rows_;
 }
 
@@ -61,8 +116,45 @@ std::vector<uint32_t> Relation::SortedOrder(
   return order;
 }
 
+bool Relation::SortedPackedRows(const std::vector<int>& cols,
+                                std::vector<uint64_t>& words,
+                                std::vector<int>& widths) const {
+  words.clear();
+  widths.assign(cols.size(), 0);
+  int bits = 0;
+  for (size_t j = 0; j < cols.size(); ++j) {
+    widths[j] = std::bit_width(max_[cols[j]]);
+    bits += widths[j];
+  }
+  if (bits > 64) {
+    widths.clear();
+    return false;
+  }
+  // Column j sits above the columns after it. A zero-width column (all
+  // zeros) is skipped, so every shift is below 64.
+  words.assign(num_rows_, 0);
+  int shift = bits;
+  for (size_t j = 0; j < cols.size(); ++j) {
+    shift -= widths[j];
+    if (widths[j] == 0) continue;
+    const std::vector<Value>& col = cols_[cols[j]];
+    for (size_t r = 0; r < num_rows_; ++r) words[r] |= col[r] << shift;
+  }
+  RadixSort(words, bits);
+  return true;
+}
+
 size_t Relation::DistinctCount(const std::vector<int>& cols) const {
   if (num_rows_ == 0) return 0;
+  std::vector<uint64_t> words;
+  std::vector<int> widths;
+  if (SortedPackedRows(cols, words, widths)) {
+    size_t distinct = 1;
+    for (size_t i = 1; i < words.size(); ++i) {
+      distinct += words[i] != words[i - 1];
+    }
+    return distinct;
+  }
   std::vector<uint32_t> order = SortedOrder(cols);
   size_t distinct = 1;
   for (size_t i = 1; i < order.size(); ++i) {
@@ -92,6 +184,7 @@ void Relation::Deduplicate() {
   std::iota(all.begin(), all.end(), 0);
   Relation deduped = Project(all);
   cols_ = std::move(deduped.cols_);
+  max_ = std::move(deduped.max_);
   num_rows_ = deduped.num_rows_;
 }
 

@@ -48,6 +48,18 @@ class Relation {
   // Number of distinct values of the given column tuple.
   size_t DistinctCount(const std::vector<int>& cols) const;
 
+  // The rows projected onto `cols`, packed one row per word and sorted:
+  // cols[0] in the highest bits, cols.back() in the lowest, each column in
+  // the bit width of its maximum value (written to `widths`, aligned with
+  // `cols`). Ascending word order is the lexicographic row order of
+  // SortedOrder(cols), and equal words are equal rows. Sorting is an LSD
+  // radix sort over the used bits only. Returns false, with both outputs
+  // empty, when the widths sum to more than 64 bits; callers then fall back
+  // to SortedOrder.
+  bool SortedPackedRows(const std::vector<int>& cols,
+                        std::vector<uint64_t>& words,
+                        std::vector<int>& widths) const;
+
   // Distinct projection onto the given columns, as a new relation whose
   // attribute names are those of the projected columns.
   Relation Project(const std::vector<int>& cols) const;
@@ -65,6 +77,7 @@ class Relation {
   std::string name_;
   std::vector<std::string> attrs_;
   std::vector<std::vector<Value>> cols_;
+  std::vector<Value> max_;  // largest value per column, kept by AddRow
   size_t num_rows_ = 0;
 };
 

@@ -136,6 +136,41 @@ TEST(Advisor, JobWorkloadThroughput) {
   EXPECT_LT(advisor.CacheSize(), 100u);
 }
 
+TEST(Advisor, CardinalityAssertionsSurviveNormsWithoutL1) {
+  // Without p = 1 among the maintained norms, every atom still asserts
+  // |R| (an ℓ1 statistic of the one-entry deg(vars|∅)).
+  JobWorkloadOptions opt;
+  opt.scale = 0.05;
+  JobWorkload wl = GenerateJobWorkload(opt);
+  const Query& q3 = wl.queries[2];
+  AdvisorOptions options;
+  options.norms = {2.0, kInfNorm};
+  CardinalityAdvisor advisor(wl.catalog, options);
+  const auto explanation = advisor.Explain(q3);
+  int cardinalities = 0;
+  for (const ConcreteStatistic& s : explanation.stats) {
+    if (s.sigma.u != 0) continue;
+    ++cardinalities;
+    EXPECT_EQ(s.p, 1.0);
+    // JOB atoms bind distinct variables, so vars ∪ ∅ covers every column.
+    const Relation& rel = wl.catalog.Get(q3.atom(s.guard_atom).relation);
+    std::vector<int> cols(rel.arity());
+    for (int c = 0; c < rel.arity(); ++c) cols[c] = c;
+    const size_t distinct = rel.DistinctCount(cols);
+    EXPECT_EQ(s.log_b, std::log2(static_cast<double>(distinct)));
+  }
+  EXPECT_EQ(cardinalities, q3.num_atoms());
+  // 2 norms x 2 conditionals for each binary atom, plus 4 assertions.
+  EXPECT_EQ(explanation.stats.size(), 12u);
+
+  // The collector pipeline always asserts |R|; the advisor now agrees.
+  CollectorOptions copt;
+  copt.norms = options.norms;
+  const auto expected =
+      LpNormBound(q3.num_vars(), CollectStatistics(q3, wl.catalog, copt));
+  EXPECT_NEAR(explanation.bound.log2_bound, expected.log2_bound, 1e-9);
+}
+
 TEST(Advisor, RepeatedTemplatesReuseCompiledWitness) {
   Catalog db = SmallDb();
   CardinalityAdvisor advisor(db);

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <functional>
+#include <map>
+#include <set>
+#include <string>
 
 #include "relation/catalog.h"
 #include "relation/degree_sequence.h"
 #include "relation/relation.h"
+#include "util/random.h"
 
 namespace lpb {
 namespace {
@@ -202,6 +209,205 @@ TEST(DegreeSequence, EmptySequence) {
 TEST(ComputeDegreeSequence, EmptyRelation) {
   Relation r("R", {"X", "Y"});
   EXPECT_TRUE(ComputeDegreeSequence(r, {0}, {1}).empty());
+}
+
+// Randomized differential check of the degree-sequence kernel (packed-key
+// radix sort, comparator fallback past 64 key bits) and of Log2NormP's
+// run-length evaluation against brute-force references. The seed is
+// overridable via LPB_DIFF_SEED so CI can run several fixed seeds; a
+// failure prints the seed and trial for replay.
+uint64_t DiffSeed() {
+  const char* env = std::getenv("LPB_DIFF_SEED");
+  if (env != nullptr && *env != '\0') {
+    return static_cast<uint64_t>(std::strtoull(env, nullptr, 10));
+  }
+  return 12345;
+}
+
+std::vector<Value> ProjectRow(const Relation& r, size_t row,
+                              const std::vector<int>& cols) {
+  std::vector<Value> out;
+  for (int c : cols) out.push_back(r.At(row, c));
+  return out;
+}
+
+// deg(V|U) by brute force: the distinct (u, v) pairs in a std::set, counted
+// per u in a std::map, sorted non-increasing.
+std::vector<uint64_t> ReferenceDegrees(const Relation& r,
+                                       const std::vector<int>& u_cols,
+                                       const std::vector<int>& v_cols) {
+  std::set<std::pair<std::vector<Value>, std::vector<Value>>> edges;
+  for (size_t row = 0; row < r.NumRows(); ++row) {
+    edges.insert({ProjectRow(r, row, u_cols), ProjectRow(r, row, v_cols)});
+  }
+  std::map<std::vector<Value>, uint64_t> degree;
+  for (const auto& edge : edges) ++degree[edge.first];
+  std::vector<uint64_t> out;
+  for (const auto& [u, d] : degree) out.push_back(d);
+  std::sort(out.begin(), out.end(), std::greater<uint64_t>());
+  return out;
+}
+
+size_t ReferenceDistinct(const Relation& r, const std::vector<int>& cols) {
+  std::set<std::vector<Value>> tuples;
+  for (size_t row = 0; row < r.NumRows(); ++row) {
+    tuples.insert(ProjectRow(r, row, cols));
+  }
+  return tuples.size();
+}
+
+// Log2NormP's per-entry formula: one exp2/log2 per degree.
+double PerEntryLog2Norm(const std::vector<uint64_t>& d, double p) {
+  if (d.empty()) return -kInfNorm;
+  if (p >= kInfNorm / 2) return std::log2(static_cast<double>(d[0]));
+  const double max_log = p * std::log2(static_cast<double>(d[0]));
+  double sum = 0.0;
+  for (uint64_t x : d) {
+    sum += std::exp2(p * std::log2(static_cast<double>(x)) - max_log);
+  }
+  return (max_log + std::log2(sum)) / p;
+}
+
+constexpr double kDiffNorms[] = {0.5, 1.0, 2.0, 3.0, 4.0, 30.0, kInfNorm};
+
+// A value below 2^bits; with `top` set, exactly bits wide.
+Value RandomValue(Rng& rng, int bits, bool top) {
+  if (bits == 0) return 0;
+  const Value mask = bits == 64 ? ~Value{0} : (Value{1} << bits) - 1;
+  Value v = rng.Next() & mask;
+  if (top) v |= Value{1} << (bits - 1);
+  return v;
+}
+
+// A relation whose column c holds values of widths[c] bits, drawn from a
+// small pool so rows repeat, with some rows copied verbatim.
+Relation RandomRelation(Rng& rng, const std::vector<int>& widths,
+                        size_t rows) {
+  const int arity = static_cast<int>(widths.size());
+  std::vector<std::string> names;
+  for (int c = 0; c < arity; ++c) names.push_back("c" + std::to_string(c));
+  Relation r("R", names);
+  std::vector<std::vector<Value>> pools(arity);
+  for (int c = 0; c < arity; ++c) {
+    const size_t pool = 1 + rng.Uniform(rng.Bernoulli(0.5) ? 4 : 200);
+    for (size_t i = 0; i < pool; ++i) {
+      pools[c].push_back(RandomValue(rng, widths[c], i == 0));
+    }
+  }
+  std::vector<Value> row(arity);
+  for (size_t i = 0; i < rows; ++i) {
+    if (i > 0 && rng.Bernoulli(0.1)) {
+      const size_t src = rng.Uniform(i);
+      for (int c = 0; c < arity; ++c) row[c] = r.At(src, c);
+    } else {
+      for (int c = 0; c < arity; ++c) {
+        row[c] = pools[c][rng.Uniform(pools[c].size())];
+      }
+    }
+    r.AddRow(row);
+  }
+  return r;
+}
+
+void ExpectMatchesReference(const Relation& r, const std::vector<int>& u_cols,
+                            const std::vector<int>& v_cols) {
+  const DegreeSequence d = ComputeDegreeSequence(r, u_cols, v_cols);
+  ASSERT_EQ(d.degrees(), ReferenceDegrees(r, u_cols, v_cols));
+  for (double p : kDiffNorms) {
+    EXPECT_EQ(d.Log2NormP(p), PerEntryLog2Norm(d.degrees(), p)) << "p=" << p;
+  }
+}
+
+TEST(DegreeSequenceDifferential, MatchesBruteForceOnRandomRelations) {
+  const uint64_t seed = DiffSeed();
+  Rng rng(seed);
+  constexpr int kWidths[] = {0, 1, 3, 8, 16, 24, 32, 40, 63, 64};
+  constexpr size_t kRows[] = {0, 1, 2, 17, 255, 256, 257, 1000, 3000};
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE("LPB_DIFF_SEED=" + std::to_string(seed) +
+                 " trial=" + std::to_string(trial));
+    const int arity = 1 + static_cast<int>(rng.Uniform(4));
+    std::vector<int> widths(arity);
+    for (int& w : widths) w = kWidths[rng.Uniform(std::size(kWidths))];
+    const Relation r =
+        RandomRelation(rng, widths, kRows[rng.Uniform(std::size(kRows))]);
+    // A random split of a random column order into U, V and unused
+    // columns; U or V (or both) may come out empty.
+    std::vector<int> cols(arity);
+    for (int c = 0; c < arity; ++c) cols[c] = c;
+    for (int c = arity - 1; c > 0; --c) {
+      std::swap(cols[c], cols[rng.Uniform(c + 1)]);
+    }
+    const size_t u_end = rng.Uniform(arity + 1);
+    const size_t v_end = u_end + rng.Uniform(arity - u_end + 1);
+    const std::vector<int> u_cols(cols.begin(), cols.begin() + u_end);
+    const std::vector<int> v_cols(cols.begin() + u_end, cols.begin() + v_end);
+    ExpectMatchesReference(r, u_cols, v_cols);
+    std::vector<int> uv = u_cols;
+    uv.insert(uv.end(), v_cols.begin(), v_cols.end());
+    EXPECT_EQ(r.DistinctCount(uv), ReferenceDistinct(r, uv));
+  }
+}
+
+TEST(DegreeSequenceDifferential, KeyWidthEdges) {
+  Rng rng(DiffSeed());
+  for (size_t rows : {size_t{40}, size_t{2000}}) {
+    SCOPED_TRACE("rows=" + std::to_string(rows));
+    // 40 + 30 = 70 bits: the comparator fallback.
+    const Relation wide = RandomRelation(rng, {40, 30}, rows);
+    std::vector<uint64_t> words;
+    std::vector<int> widths;
+    EXPECT_FALSE(wide.SortedPackedRows({0, 1}, words, widths));
+    ExpectMatchesReference(wide, {0}, {1});
+    ExpectMatchesReference(wide, {1}, {0});
+    ExpectMatchesReference(wide, {}, {0, 1});
+    EXPECT_EQ(wide.DistinctCount({1, 0}), ReferenceDistinct(wide, {1, 0}));
+
+    // 24 + 40 = exactly 64 bits: still packed.
+    const Relation exact = RandomRelation(rng, {24, 40, 3}, rows);
+    ASSERT_TRUE(exact.SortedPackedRows({0, 1}, words, widths));
+    EXPECT_EQ(widths, (std::vector<int>{24, 40}));
+    EXPECT_TRUE(std::is_sorted(words.begin(), words.end()));
+    ExpectMatchesReference(exact, {0}, {1});
+    ExpectMatchesReference(exact, {1}, {0});
+    ExpectMatchesReference(exact, {}, {0, 1});
+    EXPECT_FALSE(exact.SortedPackedRows({0, 1, 2}, words, widths));
+    ExpectMatchesReference(exact, {2}, {0, 1});
+
+    // One column holding 2^64-1 (64 bits) beside an all-zero column: V
+    // takes all 64 bits while U is non-empty.
+    Relation full = RandomRelation(rng, {64, 0}, rows);
+    full.AddRow({~Value{0}, 0});
+    ASSERT_TRUE(full.SortedPackedRows({1, 0}, words, widths));
+    EXPECT_EQ(widths, (std::vector<int>{0, 64}));
+    EXPECT_EQ(words.back(), ~Value{0});
+    ExpectMatchesReference(full, {1}, {0});
+    ExpectMatchesReference(full, {0}, {1});
+    ExpectMatchesReference(full, {}, {0});
+    EXPECT_EQ(full.DistinctCount({0}), ReferenceDistinct(full, {0}));
+  }
+}
+
+TEST(DegreeSequenceDifferential, Log2NormIsBitwisePerEntryFormula) {
+  const uint64_t seed = DiffSeed();
+  Rng rng(seed + 1);
+  for (int trial = 0; trial < 50; ++trial) {
+    SCOPED_TRACE("LPB_DIFF_SEED=" + std::to_string(seed) +
+                 " trial=" + std::to_string(trial));
+    // A few distinct degrees, up to ~10^11, each repeated in a long run.
+    std::vector<uint64_t> raw;
+    const int distinct = 1 + static_cast<int>(rng.Uniform(40));
+    for (int i = 0; i < distinct; ++i) {
+      const uint64_t degree = 1 + rng.Uniform(rng.Bernoulli(0.2)
+                                                  ? uint64_t{100000000000}
+                                                  : uint64_t{64});
+      raw.insert(raw.end(), 1 + rng.Uniform(3000), degree);
+    }
+    const DegreeSequence d(raw);
+    for (double p : kDiffNorms) {
+      EXPECT_EQ(d.Log2NormP(p), PerEntryLog2Norm(d.degrees(), p)) << "p=" << p;
+    }
+  }
 }
 
 TEST(Catalog, AddGetHas) {
