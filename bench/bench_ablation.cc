@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "bounds/normal_engine.h"
+#include "bounds/bound_engine.h"
 #include "datagen/graph_gen.h"
 #include "datagen/job_gen.h"
 #include "exec/yannakakis.h"
@@ -25,7 +25,7 @@ double BoundWithNorms(const Query& q, const Catalog& db,
   CollectorOptions opt;
   opt.norms = std::move(norms);
   auto stats = CollectStatistics(q, db, opt);
-  return LpNormBound(q.num_vars(), stats).log2_bound;
+  return ComputeBound("auto", q.num_vars(), stats).log2_bound;
 }
 
 void PrintTable() {
@@ -94,7 +94,8 @@ void BM_AblationBoundSmallNormSet(benchmark::State& state) {
   opt.norms = {1.0, 2.0, kInfNorm};
   auto stats = CollectStatistics(q, wl.catalog, opt);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(LpNormBound(q.num_vars(), stats).log2_bound);
+    benchmark::DoNotOptimize(
+        ComputeBound("auto", q.num_vars(), stats).log2_bound);
   }
 }
 BENCHMARK(BM_AblationBoundSmallNormSet);
@@ -109,7 +110,8 @@ void BM_AblationBoundLargeNormSet(benchmark::State& state) {
   opt.norms.push_back(kInfNorm);
   auto stats = CollectStatistics(q, wl.catalog, opt);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(LpNormBound(q.num_vars(), stats).log2_bound);
+    benchmark::DoNotOptimize(
+        ComputeBound("auto", q.num_vars(), stats).log2_bound);
   }
 }
 BENCHMARK(BM_AblationBoundLargeNormSet);

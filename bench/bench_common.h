@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "bounds/engine.h"
+#include "bounds/bound_engine.h"
 #include "relation/degree_sequence.h"
 #include "stats/statistic.h"
 

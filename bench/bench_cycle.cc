@@ -9,7 +9,7 @@
 
 #include "bench_common.h"
 #include "bounds/formulas.h"
-#include "bounds/normal_engine.h"
+#include "bounds/bound_engine.h"
 #include "datagen/alpha_beta.h"
 #include "exec/generic_join.h"
 #include "query/query.h"
@@ -66,7 +66,7 @@ void PrintTable() {
     for (int qq = 1; qq <= p; ++qq) opt.norms.push_back(qq);
     opt.norms.push_back(kInfNorm);
     auto stats = CollectStatistics(q, db, opt);
-    auto bound = LpNormBound(q.num_vars(), stats);
+    auto bound = ComputeBound("auto", q.num_vars(), stats);
     std::printf(" %10.2f\n", bound.log2_bound);
   }
   std::printf("\n");
@@ -85,7 +85,8 @@ void BM_CycleBound(benchmark::State& state) {
   opt.norms.push_back(kInfNorm);
   auto stats = CollectStatistics(q, db, opt);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(LpNormBound(q.num_vars(), stats).log2_bound);
+    benchmark::DoNotOptimize(
+        ComputeBound("auto", q.num_vars(), stats).log2_bound);
   }
 }
 BENCHMARK(BM_CycleBound)->Arg(2)->Arg(3)->Arg(4);

@@ -9,7 +9,7 @@
 
 #include "bench_common.h"
 #include "bounds/formulas.h"
-#include "bounds/normal_engine.h"
+#include "bounds/bound_engine.h"
 #include "datagen/alpha_beta.h"
 #include "estimator/dsb.h"
 #include "exec/generic_join.h"
@@ -46,7 +46,7 @@ void PrintTable() {
     CollectorOptions opt;
     opt.norms = {1.0, 2.0, 3.0, 4.0, 5.0, kInfNorm};
     auto stats = CollectStatistics(q, db, opt);
-    auto bound = LpNormBound(q.num_vars(), stats);
+    auto bound = ComputeBound("auto", q.num_vars(), stats);
 
     std::printf("%-10llu %10d %10.2f %10.2f %12.2f %12.2f %12.2f\n",
                 static_cast<unsigned long long>(m), e,
@@ -78,7 +78,8 @@ void BM_GapInstanceBound(benchmark::State& state) {
   opt.norms = {1.0, 2.0, 3.0, 4.0, 5.0, kInfNorm};
   auto stats = CollectStatistics(q, db, opt);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(LpNormBound(q.num_vars(), stats).log2_bound);
+    benchmark::DoNotOptimize(
+        ComputeBound("auto", q.num_vars(), stats).log2_bound);
   }
 }
 BENCHMARK(BM_GapInstanceBound);

@@ -8,8 +8,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "bounds/engine.h"
-#include "bounds/normal_engine.h"
+#include "bounds/bound_engine.h"
 
 namespace lpb {
 namespace {
@@ -58,7 +57,7 @@ void PrintTable() {
         EngineOptions full;
         full.full_lattice_max_n = 12;
         auto t0 = std::chrono::steady_clock::now();
-        auto r = PolymatroidBound(n, stats, full);
+        auto r = ComputeBound("gamma", n, stats, full);
         t_full = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - t0)
                      .count();
@@ -67,8 +66,12 @@ void PrintTable() {
       if (n <= 8) {
         EngineOptions cuts;
         cuts.full_lattice_max_n = 3;
+        // Cold cut growth (rebuild + two-phase solve per round): on these
+        // path/cycle structures warm row appends take minutes at n = 8,
+        // cold growth about a second.
+        cuts.simplex.cut_warm_start = CutWarmStart::kOff;
         auto t0 = std::chrono::steady_clock::now();
-        auto r = PolymatroidBound(n, stats, cuts);
+        auto r = ComputeBound("gamma", n, stats, cuts);
         t_cuts = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - t0)
                      .count();
@@ -77,11 +80,11 @@ void PrintTable() {
       }
       {
         auto t0 = std::chrono::steady_clock::now();
-        auto r = NormalPolymatroidBound(n, stats);
+        auto r = ComputeBound("normal", n, stats);
         t_norm = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - t0)
                      .count();
-        bound = r.base.log2_bound;
+        bound = r.log2_bound;
       }
       std::printf("%-6d %-7s %12.4f %12.4f %12.4f %10.3f %10d\n", n,
                   cycle ? "cycle" : "path", t_full, t_cuts, t_norm, bound,
@@ -97,7 +100,7 @@ void BM_GammaFullLattice(benchmark::State& state) {
   EngineOptions opt;
   opt.full_lattice_max_n = 12;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PolymatroidBound(n, stats, opt).log2_bound);
+    benchmark::DoNotOptimize(ComputeBound("gamma", n, stats, opt).log2_bound);
   }
 }
 BENCHMARK(BM_GammaFullLattice)->Arg(4)->Arg(6)->Arg(8);
@@ -108,7 +111,7 @@ void BM_GammaCuttingPlane(benchmark::State& state) {
   EngineOptions opt;
   opt.full_lattice_max_n = 3;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PolymatroidBound(n, stats, opt).log2_bound);
+    benchmark::DoNotOptimize(ComputeBound("gamma", n, stats, opt).log2_bound);
   }
 }
 BENCHMARK(BM_GammaCuttingPlane)->Arg(4)->Arg(5)->Arg(6);
@@ -117,7 +120,7 @@ void BM_NormalEngine(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto stats = PathStats(n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(NormalPolymatroidBound(n, stats).base.log2_bound);
+    benchmark::DoNotOptimize(ComputeBound("normal", n, stats).log2_bound);
   }
 }
 BENCHMARK(BM_NormalEngine)->Arg(6)->Arg(10)->Arg(14);

@@ -8,7 +8,7 @@
 
 #include "bench_common.h"
 #include "bounds/agm.h"
-#include "bounds/normal_engine.h"
+#include "bounds/bound_engine.h"
 #include "datagen/job_gen.h"
 #include "estimator/traditional.h"
 #include "exec/generic_join.h"
@@ -35,9 +35,8 @@ void PrintTable(const JobWorkload& wl) {
   for (const Query& q : wl.queries) {
     const uint64_t truth = CountJoin(q, wl.catalog);
     auto stats = CollectStatistics(q, wl.catalog, opt);
-    auto ours = LpNormBound(q.num_vars(), stats);
-    auto panda =
-        LpNormBound(q.num_vars(), FilterPandaStatistics(stats));
+    auto ours = ComputeBound("auto", q.num_vars(), stats);
+    auto panda = ComputeBound("panda", q.num_vars(), stats);
     AgmResult agm = AgmBound(q, wl.catalog);
     const double duck = TraditionalEstimateLog2(q, wl.catalog);
     std::printf("%-5s %5d %12llu %10s %-22s %10s %10s %10s\n",
@@ -66,7 +65,7 @@ void BM_JobBoundPerQuery(benchmark::State& state) {
   const Query& q = wl.queries[static_cast<size_t>(state.range(0))];
   auto stats = CollectStatistics(q, wl.catalog, FullNorms());
   for (auto _ : state) {
-    auto bound = LpNormBound(q.num_vars(), stats);
+    auto bound = ComputeBound("auto", q.num_vars(), stats);
     benchmark::DoNotOptimize(bound.log2_bound);
   }
   state.SetLabel(q.name());

@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "bounds/normal_engine.h"
+#include "bounds/bound_engine.h"
 #include "datagen/graph_gen.h"
 #include "estimator/dsb.h"
 #include "estimator/traditional.h"
@@ -42,10 +42,10 @@ void PrintTable() {
 
     const int n = q.num_vars();
     const double agm =
-        Ratio(LpNormBound(n, FilterAgmStatistics(stats)).log2_bound, truth);
+        Ratio(ComputeBound("agm", n, stats).log2_bound, truth);
     const double panda = Ratio(
-        LpNormBound(n, FilterPandaStatistics(stats)).log2_bound, truth);
-    const double l2 = Ratio(LpNormBound(n, stats2).log2_bound, truth);
+        ComputeBound("panda", n, stats).log2_bound, truth);
+    const double l2 = Ratio(ComputeBound("auto", n, stats2).log2_bound, truth);
     const Relation& e = db.Get("E");
     const double dsb =
         Ratio(SingleJoinDsbLog2(ComputeDegreeSequence(e, {1}, {0}),

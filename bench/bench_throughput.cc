@@ -3,8 +3,9 @@
 // An optimizer probes the advisor millions of times against a handful of
 // query templates. This bench measures estimates/sec on the synthetic JOB
 // workload (33 templates) in four regimes:
-//   * cold   — a fresh LP built and solved from scratch per estimate
-//              (the pre-pipeline behavior: LpNormBound on the statistics);
+//   * cold   — a fresh LP built and solved from scratch per estimate: a
+//              one-shot ComputeBound("auto", ...), i.e. a compile plus one
+//              evaluate on the statistics;
 //   * warm   — the advisor's compiled path: per-structure compiled bound,
 //              cached dual witness re-priced per call;
 //   * batch  — the advisor's batched what-if path: per template, one
@@ -73,7 +74,6 @@
 
 #include "bench_common.h"
 #include "bounds/bound_engine.h"
-#include "bounds/normal_engine.h"
 #include "datagen/gamma_stats.h"
 #include "datagen/job_gen.h"
 #include "estimator/advisor.h"
@@ -828,12 +828,12 @@ void PrintTable() {
   const int kRepeats = 30;
   const size_t m = wl.queries.size();
 
-  // Cold: fresh LP build + solve per estimate.
+  // Cold: one-shot compile + evaluate per estimate.
   auto t0 = std::chrono::steady_clock::now();
   for (int r = 0; r < kRepeats; ++r) {
     for (size_t i = 0; i < m; ++i) {
       benchmark::DoNotOptimize(
-          LpNormBound(wl.queries[i].num_vars(), stats[i]).log2_bound);
+          ComputeBound("auto", wl.queries[i].num_vars(), stats[i]).log2_bound);
     }
   }
   const double cold_s = Seconds(t0);
@@ -1165,7 +1165,7 @@ void BM_ColdEstimate(benchmark::State& state) {
   auto stats = advisor.Explain(wl.queries[i]).stats;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        LpNormBound(wl.queries[i].num_vars(), stats).log2_bound);
+        ComputeBound("auto", wl.queries[i].num_vars(), stats).log2_bound);
   }
   state.SetItemsProcessed(state.iterations());
 }

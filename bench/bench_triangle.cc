@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "bounds/normal_engine.h"
+#include "bounds/bound_engine.h"
 #include "datagen/graph_gen.h"
 #include "estimator/traditional.h"
 #include "exec/generic_join.h"
@@ -46,11 +46,11 @@ Row RunDataset(const GraphSpec& spec) {
 
   const int n = q.num_vars();
   row.agm =
-      Ratio(LpNormBound(n, FilterAgmStatistics(stats)).log2_bound, row.truth);
-  row.panda = Ratio(LpNormBound(n, FilterPandaStatistics(stats)).log2_bound,
+      Ratio(ComputeBound("agm", n, stats).log2_bound, row.truth);
+  row.panda = Ratio(ComputeBound("panda", n, stats).log2_bound,
                     row.truth);
-  row.l2 = Ratio(LpNormBound(n, stats2).log2_bound, row.truth);
-  row.full = Ratio(LpNormBound(n, stats).log2_bound, row.truth);
+  row.l2 = Ratio(ComputeBound("auto", n, stats2).log2_bound, row.truth);
+  row.full = Ratio(ComputeBound("auto", n, stats).log2_bound, row.truth);
   row.duck = Ratio(TraditionalEstimateLog2(q, db), row.truth);
   return row;
 }
@@ -84,7 +84,7 @@ void BM_TriangleBoundComputation(benchmark::State& state) {
   opt.norms = {1.0, 2.0, 3.0, kInfNorm};
   auto stats = CollectStatistics(q, db, opt);
   for (auto _ : state) {
-    auto bound = LpNormBound(q.num_vars(), stats);
+    auto bound = ComputeBound("auto", q.num_vars(), stats);
     benchmark::DoNotOptimize(bound.log2_bound);
   }
 }

@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "bounds/normal_engine.h"
+#include "bounds/bound_engine.h"
 #include "bounds/worst_case.h"
 #include "exec/generic_join.h"
 #include "query/parser.h"
@@ -41,14 +41,14 @@ void PrintTable() {
               "|Q(normal D)|", "achieved/2^bd", "product cap B^(3/5)");
   Query q = *ParseQuery("R1(X,Y), R2(Y,Z), R3(Z,X), S1(X), S2(Y), S3(Z)");
   for (double b : {4.0, 6.0, 8.0, 10.0, 12.0}) {
-    auto bound = NormalPolymatroidBound(q.num_vars(), Example67Stats(b));
-    if (!bound.base.ok()) continue;
+    auto bound = ComputeBound("normal", q.num_vars(), Example67Stats(b));
+    if (!bound.ok()) continue;
     WorstCaseInstance wc = BuildWorstCaseDatabase(q, bound.alpha);
     const uint64_t count = CountJoin(q, wc.database);
     std::printf("%-8.1f %10.3f %14llu %14.3f %16.1f\n", b,
-                bound.base.log2_bound,
+                bound.log2_bound,
                 static_cast<unsigned long long>(count),
-                static_cast<double>(count) / std::exp2(bound.base.log2_bound),
+                static_cast<double>(count) / std::exp2(bound.log2_bound),
                 std::exp2(3.0 * b / 5.0));
   }
   std::printf(
@@ -58,7 +58,7 @@ void PrintTable() {
 
 void BM_WorstCaseConstruction(benchmark::State& state) {
   Query q = *ParseQuery("R1(X,Y), R2(Y,Z), R3(Z,X), S1(X), S2(Y), S3(Z)");
-  auto bound = NormalPolymatroidBound(q.num_vars(), Example67Stats(10.0));
+  auto bound = ComputeBound("normal", q.num_vars(), Example67Stats(10.0));
   for (auto _ : state) {
     WorstCaseInstance wc = BuildWorstCaseDatabase(q, bound.alpha);
     benchmark::DoNotOptimize(wc.witness.NumRows());
@@ -71,7 +71,7 @@ void BM_NormalBoundExample67(benchmark::State& state) {
   auto stats = Example67Stats(10.0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        NormalPolymatroidBound(q.num_vars(), stats).base.log2_bound);
+        ComputeBound("normal", q.num_vars(), stats).log2_bound);
   }
 }
 BENCHMARK(BM_NormalBoundExample67);

@@ -10,7 +10,7 @@
 #include <filesystem>
 #include <string>
 
-#include "bounds/normal_engine.h"
+#include "bounds/bound_engine.h"
 #include "bounds/sensitivity.h"
 #include "datagen/graph_gen.h"
 #include "estimator/comparison.h"
@@ -53,7 +53,7 @@ int RunDemo() {
   CollectorOptions copt;
   copt.norms = {1.0, 2.0, 3.0, kInfNorm};
   auto stats = CollectStatistics(q, db, copt);
-  auto bound = LpNormBound(q.num_vars(), stats);
+  auto bound = ComputeBound("auto", q.num_vars(), stats);
   std::printf("sensitivity (which statistics the bound leans on):\n%s",
               FormatSensitivity(AnalyzeSensitivity(bound, stats), stats)
                   .c_str());

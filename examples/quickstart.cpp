@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "bounds/agm.h"
-#include "bounds/normal_engine.h"
+#include "bounds/bound_engine.h"
 #include "estimator/traditional.h"
 #include "exec/generic_join.h"
 #include "query/parser.h"
@@ -47,9 +47,9 @@ int main() {
               stats[1].label.c_str());
 
   // 5. Bounds: AGM ({1}), PANDA ({1,inf}), and the full lp-norm bound.
-  auto agm = LpNormBound(q.num_vars(), FilterAgmStatistics(stats));
-  auto panda = LpNormBound(q.num_vars(), FilterPandaStatistics(stats));
-  auto ours = LpNormBound(q.num_vars(), stats);
+  auto agm = ComputeBound("agm", q.num_vars(), stats);
+  auto panda = ComputeBound("panda", q.num_vars(), stats);
+  auto ours = ComputeBound("auto", q.num_vars(), stats);
   std::printf("AGM   {1}      bound: %.1f\n", std::exp2(agm.log2_bound));
   std::printf("PANDA {1,inf}  bound: %.1f\n", std::exp2(panda.log2_bound));
   std::printf("ours  {1..3,inf} bound: %.1f\n", std::exp2(ours.log2_bound));

@@ -7,7 +7,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "bounds/normal_engine.h"
+#include "bounds/bound_engine.h"
 #include "datagen/graph_gen.h"
 #include "estimator/traditional.h"
 #include "exec/generic_join.h"
@@ -38,9 +38,9 @@ int main() {
   opt.norms = {1.0, 2.0, 3.0, 4.0, kInfNorm};
   auto stats = CollectStatistics(q, db, opt);
 
-  auto agm = LpNormBound(q.num_vars(), FilterAgmStatistics(stats));
-  auto panda = LpNormBound(q.num_vars(), FilterPandaStatistics(stats));
-  auto ours = LpNormBound(q.num_vars(), stats);
+  auto agm = ComputeBound("agm", q.num_vars(), stats);
+  auto panda = ComputeBound("panda", q.num_vars(), stats);
+  auto ours = ComputeBound("auto", q.num_vars(), stats);
   const double trad = TraditionalEstimateLog2(q, db);
 
   auto show = [&](const char* name, double log2v) {

@@ -100,6 +100,32 @@ void CompiledBound::Record(const BoundResult& result) {
   }
 }
 
+BoundResult ResultFromLp(const LpResult& lp, size_t num_weights) {
+  BoundResult result;
+  result.status = lp.status;
+  result.lp_iterations = lp.iterations;
+  result.eval_path = lp.path;
+  result.lp_pricing = lp.pricing;
+  result.lp_stats = lp.stats;
+  switch (lp.status) {
+    case LpStatus::kOptimal:
+      result.log2_bound = lp.objective;
+      result.weights.assign(lp.duals.begin(),
+                            lp.duals.begin() + num_weights);
+      break;
+    case LpStatus::kInfeasible:
+      // No database satisfies the statistics (e.g. a cardinality below 1),
+      // so the output is empty and log2 1 = 0 is still a sound bound.
+      result.log2_bound = 0.0;
+      break;
+    case LpStatus::kUnbounded:       // the statistics do not bound the query
+    case LpStatus::kIterationLimit:  // the solver gave up: no bound known
+      result.log2_bound = kInfNorm;
+      break;
+  }
+  return result;
+}
+
 namespace {
 
 bool AllNonNegative(const std::vector<double>& values) {
@@ -119,28 +145,13 @@ BoundResult StructurallyUnboundedResult() {
   return out;
 }
 
-BoundResult MakeGammaResult(const LpResult& lp, int n, int num_stats,
-                            int cut_rounds, bool want_h_opt) {
-  BoundResult result;
-  result.status = lp.status;
-  result.cut_rounds = cut_rounds;
-  result.lp_iterations = lp.iterations;
-  result.eval_path = lp.path;
-  result.lp_pricing = lp.pricing;
-  result.lp_stats = lp.stats;
-  if (lp.status == LpStatus::kUnbounded) {
+// Cutting mode boxes h(X) so the relaxation stays bounded; a
+// Shannon-feasible optimum pinned at the box is genuinely unbounded.
+void UnboundedIfPinnedAtBox(BoundResult& result, double box) {
+  if (result.ok() && result.log2_bound >= box * (1.0 - 1e-9)) {
+    result.status = LpStatus::kUnbounded;
     result.log2_bound = kInfNorm;
-    return result;
   }
-  if (lp.status != LpStatus::kOptimal) return result;
-  result.log2_bound = lp.objective;
-  result.weights.assign(lp.duals.begin(), lp.duals.begin() + num_stats);
-  if (want_h_opt) {
-    result.h_opt = SetFunction(n);
-    const VarSet full = FullSet(n);
-    for (VarSet s = 1; s <= full; ++s) result.h_opt[s] = lp.x[s - 1];
-  }
-  return result;
 }
 
 // Shared batch driver for the single-LP engines (normal, full-lattice Γn):
@@ -352,16 +363,11 @@ class CompiledGammaBound : public CompiledBound {
       }
     }
 
-    BoundResult result =
-        MakeGammaResult(lp_result, n, num_stats_, rounds, want_h_opt);
+    BoundResult result = Finish(lp_result, want_h_opt);
+    result.cut_rounds = rounds;
     result.lp_stats = stats_sum;
     if (cold_grew) result.eval_path = LpEvalPath::kCold;
-    if (!full_mode_ && result.ok() &&
-        result.log2_bound >= box * (1.0 - 1e-9)) {
-      // Shannon-feasible optimum pinned at the box: genuinely unbounded.
-      result.status = LpStatus::kUnbounded;
-      result.log2_bound = kInfNorm;
-    }
+    if (!full_mode_) UnboundedIfPinnedAtBox(result, box);
     // Cache the verdict only when it is structural: a Shannon-converged
     // box pin (or, in full mode, a solver ray) certifies a recession ray
     // that outlives any RHS. A round-limit exit pinned at the box is an
@@ -374,7 +380,6 @@ class CompiledGammaBound : public CompiledBound {
   std::vector<BoundResult> EvaluateBatchImpl(
       std::span<const std::vector<double>> log_b_batch,
       bool want_h_opt) override {
-    const int n = structure_.n;
     if (!full_mode_) {
       return EvaluateBatchCutting(log_b_batch, want_h_opt);
     }
@@ -390,9 +395,7 @@ class CompiledGammaBound : public CompiledBound {
           }
           std::copy(log_b.begin(), log_b.end(), rhs.begin());
         },
-        [&](const LpResult& lp) {
-          return MakeGammaResult(lp, n, num_stats_, 0, want_h_opt);
-        });
+        [&](const LpResult& lp) { return Finish(lp, want_h_opt); });
   }
 
   // Cutting-plane batch: a shared per-batch cut pool. The compiled cut set
@@ -454,12 +457,8 @@ class CompiledGammaBound : public CompiledBound {
         }
         // Cut-converged (or non-optimal, where the scalar path runs no cut
         // rounds either): the block result is the scalar result.
-        BoundResult result = MakeGammaResult(lp, n, num_stats_, 0, want_h_opt);
-        if (result.ok() &&
-            result.log2_bound >= run[k][box_row_] * (1.0 - 1e-9)) {
-          result.status = LpStatus::kUnbounded;
-          result.log2_bound = kInfNorm;
-        }
+        BoundResult result = Finish(lp, want_h_opt);
+        UnboundedIfPinnedAtBox(result, run[k][box_row_]);
         const bool flips = result.unbounded() &&
                            lp.status == LpStatus::kOptimal &&
                            !structurally_unbounded_;
@@ -476,6 +475,17 @@ class CompiledGammaBound : public CompiledBound {
   }
 
  private:
+  // h* is the LP's primal solution: one variable per nonempty subset.
+  BoundResult Finish(const LpResult& lp, bool want_h_opt) const {
+    BoundResult result = ResultFromLp(lp, num_stats_);
+    if (result.ok() && want_h_opt) {
+      result.h_opt = SetFunction(structure_.n);
+      const VarSet full = FullSet(structure_.n);
+      for (VarSet s = 1; s <= full; ++s) result.h_opt[s] = lp.x[s - 1];
+    }
+    return result;
+  }
+
   void AddCut(const ShannonCut& cut) {
     present_.insert(cut.Key());
     lp_.AddConstraint(FormToTerms(cut.Form(structure_.n)), LpSense::kGe, 0.0);
@@ -536,8 +546,7 @@ class CompiledNormalBound : public CompiledBound {
     if (structurally_unbounded_ && AllNonNegative(log_b)) {
       return StructurallyUnboundedResult();
     }
-    BoundResult result = ResultFromLp(tableau_.ResolveWithRhs(log_b),
-                                      want_h_opt);
+    BoundResult result = Finish(tableau_.ResolveWithRhs(log_b), want_h_opt);
     if (result.unbounded()) structurally_unbounded_ = true;
     return result;
   }
@@ -552,32 +561,23 @@ class CompiledNormalBound : public CompiledBound {
         [](const std::vector<double>& log_b, std::vector<double>& rhs) {
           rhs.assign(log_b.begin(), log_b.end());
         },
-        [&](const LpResult& lp) { return ResultFromLp(lp, want_h_opt); });
+        [&](const LpResult& lp) { return Finish(lp, want_h_opt); });
   }
 
  private:
-  BoundResult ResultFromLp(const LpResult& lp, bool want_h_opt) {
-    BoundResult result;
-    result.status = lp.status;
-    result.lp_iterations = lp.iterations;
-    result.eval_path = lp.path;
-    result.lp_pricing = lp.pricing;
-    result.lp_stats = lp.stats;
-    if (lp.status == LpStatus::kUnbounded) {
-      result.log2_bound = kInfNorm;
-      return result;
-    }
-    if (lp.status != LpStatus::kOptimal) return result;
-    result.log2_bound = lp.objective;
-    result.weights = lp.duals;
-    if (want_h_opt) {
+  // h* = Σ_W α*_W h_W, with α* the LP's primal solution.
+  BoundResult Finish(const LpResult& lp, bool want_h_opt) const {
+    BoundResult result = ResultFromLp(lp, lp.duals.size());
+    if (result.ok() && want_h_opt) {
       const int num_vars = static_cast<int>(FullSet(structure_.n));
-      std::vector<double> alpha(num_vars + 1, 0.0);
-      for (int w = 0; w < num_vars; ++w) alpha[w + 1] = lp.x[w];
-      result.h_opt = SetFunction::NormalCombination(structure_.n, alpha);
+      result.alpha.assign(num_vars + 1, 0.0);
+      for (int w = 0; w < num_vars; ++w) result.alpha[w + 1] = lp.x[w];
+      result.h_opt = SetFunction::NormalCombination(structure_.n,
+                                                    result.alpha);
     }
     return result;
   }
+
   // Shape-only statistics (log_b = 0) for the matrix builder; the real
   // values arrive per evaluation as the RHS vector.
   std::vector<ConcreteStatistic> PlaceholderStats() const {
@@ -613,7 +613,8 @@ class NormalEngine : public BoundEngine {
 };
 
 // ---------------------------------------------------------------------------
-// "auto": dispatch at compile time, mirroring LpNormBound's dispatch.
+// "auto": normal when sound (all shapes simple), gamma otherwise; the
+// choice is made once, at compile time.
 
 class AutoEngine : public BoundEngine {
  public:
@@ -757,6 +758,15 @@ const BoundEngine* FindBoundEngine(std::string_view name) {
 
 std::vector<std::string_view> BoundEngineNames() {
   return {"gamma", "normal", "auto", "agm", "panda"};
+}
+
+BoundResult ComputeBound(std::string_view engine_name, int n,
+                         const std::vector<ConcreteStatistic>& stats,
+                         const EngineOptions& options) {
+  const BoundEngine* engine = FindBoundEngine(engine_name);
+  const BoundStructure structure = StructureOf(n, stats);
+  if (engine == nullptr || !engine->Supports(structure)) return BoundResult();
+  return engine->Compile(structure, options)->Evaluate(ValuesOf(stats));
 }
 
 }  // namespace lpb

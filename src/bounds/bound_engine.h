@@ -1,11 +1,18 @@
-// Compile-once / evaluate-many bound pipeline.
+// The bound engines (Contributions 1 & 4 of the paper) and their
+// compile-once / evaluate-many pipeline.
 //
-// The bound LP of Eq. (36) splits into a *structure* — the query's variable
-// count plus the shapes (σ, p) of the available statistics, which fix the
-// constraint matrix and objective — and *values* — the concrete ℓp-norm
-// measurements log_b, which only enter the right-hand side. A BoundEngine
-// compiles a structure once into a CompiledBound; each Evaluate(log_b) then
-// reuses the cached optimal basis of the previous evaluation:
+// The engines compute Log-L-Bound_Γn(Σ, b) = max { h(X) : h ∈ Γn,
+// h |= (Σ, b) } (Eq. (36)), which by Theorem 5.2 equals Log-U-Bound_Γn —
+// the best upper bound on log2 |Q(D)| derivable from Shannon inequalities
+// and the given ℓp-norm statistics (Theorem 1.1). Its dual is the witness
+// of inequality (8).
+//
+// The bound LP splits into a *structure* — the query's variable count plus
+// the shapes (σ, p) of the available statistics, which fix the constraint
+// matrix and objective — and *values* — the concrete ℓp-norm measurements
+// log_b, which only enter the right-hand side. A BoundEngine compiles a
+// structure once into a CompiledBound; each Evaluate(log_b) then reuses the
+// cached optimal basis of the previous evaluation:
 //
 //   1. witness reuse — if the cached basis is still primal-feasible at the
 //      new RHS (checked by re-pricing B⁻¹b', a rows × nnz(b') product), the
@@ -17,21 +24,98 @@
 //
 // This is the LP analogue of a plan skeleton reused across invocations:
 // optimizer probes against a repeated query template pay for statistics
-// lookup plus a dot product, not an LP build-and-solve.
+// lookup plus a dot product, not an LP build-and-solve. A one-shot bound
+// is a compile followed by one evaluate (ComputeBound).
+//
+// == Engine selection ==
+//
+//   * "normal" (Nn, bounds/normal_engine.h): exact and fast whenever every
+//     statistic is simple (|U| <= 1, Theorem 6.1) — the common case of
+//     per-join-column degree sequences; scales to n = 20. Unsound for
+//     non-simple statistics, so it does not Support them.
+//   * "gamma" (Γn): the general engine. One LP variable per nonempty
+//     subset of query variables; the elemental Shannon inequalities are
+//     fully materialized for n <= full_lattice_max_n and generated lazily
+//     by a cutting-plane loop beyond that (see EngineOptions).
+//   * "auto": normal when all shapes are simple, gamma otherwise — what
+//     the advisor uses.
+//   * "agm" / "panda": the classic special cases, as shape filters on top
+//     of "auto" ({1}: cardinalities only; {1,∞}).
 #ifndef LPB_BOUNDS_BOUND_ENGINE_H_
 #define LPB_BOUNDS_BOUND_ENGINE_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "bounds/engine.h"
+#include "entropy/set_function.h"
+#include "lp/simplex.h"
 #include "stats/statistic.h"
 
 namespace lpb {
+
+struct EngineOptions {
+  // Materialize every elemental inequality when n <= this; otherwise run
+  // the cutting-plane loop, which the revised simplex's warm cut appends
+  // keep tractable to n = 10 (src/lp/README.md). Every workload in the
+  // paper either fits the full lattice (n <= 8, arbitrary statistics) or
+  // uses simple statistics, where the normal-polymatroid engine is exact
+  // (Theorem 6.1) and fast to n = 20.
+  int full_lattice_max_n = 8;
+  int max_cut_rounds = 500;
+  int cuts_per_round = 256;
+  double feasibility_eps = 1e-7;
+  // LP solver configuration (pricing rule, cut warm starts, tolerances;
+  // see lp/simplex.h).
+  SimplexOptions simplex;
+};
+
+struct BoundResult {
+  // kOptimal when the LP solved. Like LpResult, the default is a failure:
+  // a BoundResult nobody filled in must never read as a bound.
+  LpStatus status = LpStatus::kIterationLimit;
+  // log2 of the output-size bound. +infinity means "cannot bound": the
+  // statistics do not bound the query (kUnbounded) or the solver gave up
+  // (kIterationLimit). See ResultFromLp for the full status mapping.
+  double log2_bound = std::numeric_limits<double>::infinity();
+  // Dual weight w_i per input statistic: the coefficients of the witness
+  // Σ-inequality (8) certifying the bound; Σ_i w_i log_b_i == log2_bound.
+  std::vector<double> weights;
+  // The optimal polymatroid h* (lower-bound witness of Theorem 5.2).
+  SetFunction h_opt;
+  // The normal engine's optimal step-function coefficients α*_W, indexed
+  // by VarSet (entry 0 unused): h_opt == Σ_W alpha[W] · h_W, the input of
+  // the worst-case database of Lemma 6.2 (bounds/worst_case.h). Filled
+  // only by the normal engine, and only when h_opt is.
+  std::vector<double> alpha;
+  int cut_rounds = 0;
+  int lp_iterations = 0;
+  // How the underlying LP was evaluated: witness reuse, a warm re-solve
+  // (warm cut appends included) or a cold solve.
+  LpEvalPath eval_path = LpEvalPath::kCold;
+  // Which pricing rule the LP's primal phases ran
+  // (SimplexOptions::pricing).
+  PricingRule lp_pricing = PricingRule::kDantzig;
+  // Solver pivot/update/refactorization counters, summed over every LP
+  // call this evaluation made (unlike lp_iterations, which reports the
+  // final solve only, these cover all cut-growth rounds too). Aggregated
+  // into AdvisorMetrics and the bench_throughput pivot gates.
+  LpSolveStats lp_stats;
+
+  bool ok() const { return status == LpStatus::kOptimal; }
+  bool unbounded() const { return status == LpStatus::kUnbounded; }
+};
+
+// The one LpStatus → BoundResult mapping, shared by every engine and by
+// ModularBound. Copies status, iterations, eval path, pricing and solver
+// counters; on kOptimal the bound is the LP objective and the weights are
+// the first `num_weights` duals (the statistics rows). h_opt, alpha and
+// cut_rounds are left to the caller.
+BoundResult ResultFromLp(const LpResult& lp, size_t num_weights);
 
 // The shape of a statistic: everything except the concrete value. Guard
 // atoms and labels are provenance, not LP inputs, so they are excluded —
@@ -60,9 +144,7 @@ std::vector<double> ValuesOf(const std::vector<ConcreteStatistic>& stats);
 // Canonical byte encoding of a structure, usable as a hash/map cache key.
 std::string StructureKey(const BoundStructure& structure);
 
-// Shape predicates of the classic filtered bounds — the single definition
-// shared by the "agm"/"panda" engines and FilterAgmStatistics /
-// FilterPandaStatistics (bounds/engine.h).
+// Shape predicates of the classic filtered bounds ("agm" / "panda").
 bool IsAgmShape(const StatisticShape& shape);    // p = 1, U = ∅
 bool IsPandaShape(const StatisticShape& shape);  // p ∈ {1, ∞}
 
@@ -151,6 +233,14 @@ class BoundEngine {
 // for unknown names.
 const BoundEngine* FindBoundEngine(std::string_view name);
 std::vector<std::string_view> BoundEngineNames();
+
+// A one-shot bound: FindBoundEngine(engine)->Compile(StructureOf(n, stats),
+// options)->Evaluate(ValuesOf(stats)), h_opt included. An unknown engine
+// name, or a structure the engine does not Support, returns the default
+// (failed) BoundResult.
+BoundResult ComputeBound(std::string_view engine, int n,
+                         const std::vector<ConcreteStatistic>& stats,
+                         const EngineOptions& options = {});
 
 }  // namespace lpb
 

@@ -30,17 +30,11 @@ ModularBoundResult ModularBound(int n,
 
   LpResult lp_result = SolveLp(lp);
   ModularBoundResult result;
-  result.base.status = lp_result.status;
-  result.base.lp_iterations = lp_result.iterations;
-  if (lp_result.status == LpStatus::kUnbounded) {
-    result.base.log2_bound = kInfNorm;
-    return result;
+  result.base = ResultFromLp(lp_result, stats.size());
+  if (result.base.ok()) {
+    result.var_weights = lp_result.x;
+    result.base.h_opt = SetFunction::Modular(n, lp_result.x);
   }
-  if (lp_result.status != LpStatus::kOptimal) return result;
-  result.base.log2_bound = lp_result.objective;
-  result.base.weights = lp_result.duals;
-  result.var_weights = lp_result.x;
-  result.base.h_opt = SetFunction::Modular(n, lp_result.x);
   return result;
 }
 

@@ -13,7 +13,7 @@
 
 #include <vector>
 
-#include "bounds/engine.h"
+#include "bounds/bound_engine.h"
 #include "stats/statistic.h"
 
 namespace lpb {

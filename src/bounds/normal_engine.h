@@ -1,4 +1,4 @@
-// The normal-polymatroid bound engine (Sec 6 / Theorem 6.1).
+// The normal-polymatroid bound LP (Sec 6 / Theorem 6.1).
 //
 // Optimizes h(X) over Nn, the cone of normal polymatroids h = Σ_W α_W h_W
 // with α_W >= 0. The LP has one variable per nonempty W ⊆ X and only the
@@ -9,46 +9,30 @@
 // practice (per-join-column degree sequences) — and the optimal α* feeds
 // the worst-case database construction of Lemma 6.2.
 //
+// The "normal" engine of bounds/bound_engine.h compiles this LP; it is
+// solved there (ComputeBound("normal", ...) for a one-shot bound, with α*
+// in BoundResult::alpha).
+//
 // CAUTION: for non-simple statistics Nn ⊊ Γn makes this a lower bound on
-// the polymatroid bound, NOT a valid output-size bound; callers must check
-// AllSimple() (NormalPolymatroidBound asserts it unless told otherwise).
+// the polymatroid bound, NOT a valid output-size bound; the "normal" engine
+// therefore does not Support non-simple structures.
 #ifndef LPB_BOUNDS_NORMAL_ENGINE_H_
 #define LPB_BOUNDS_NORMAL_ENGINE_H_
 
 #include <vector>
 
-#include "bounds/engine.h"
+#include "lp/lp_problem.h"
 #include "stats/statistic.h"
 
 namespace lpb {
 
-struct NormalBoundResult {
-  BoundResult base;
-  // Optimal step-function coefficients α*_W, indexed by VarSet (entry 0
-  // unused). h_opt == Σ_W alpha[W] · h_W.
-  std::vector<double> alpha;
-};
-
-// Computes max h(X) over normal polymatroids satisfying the statistics.
-// If `require_simple` (default), asserts AllSimple(stats). `simplex`
-// selects the LP solver configuration (lp/simplex.h).
-NormalBoundResult NormalPolymatroidBound(
-    int n, const std::vector<ConcreteStatistic>& stats,
-    bool require_simple = true, const SimplexOptions& simplex = {});
-
 // Builds the Nn LP: maximize Σ_W α_W over α >= 0 with one <= row per
-// statistic (rhs = stat.log_b), in statistics order. The matrix depends
-// only on the statistic *shapes* (σ, p), never on the values — the
-// compiled-bound pipeline (bounds/bound_engine.h) builds it once per
-// structure and re-solves per log_b vector.
+// statistic (rhs = stat.log_b), in statistics order; column W - 1 is α_W.
+// The matrix depends only on the statistic *shapes* (σ, p), never on the
+// values — the compiled-bound pipeline (bounds/bound_engine.h) builds it
+// once per structure and re-solves per log_b vector.
 LpProblem BuildNormalBoundLp(int n,
                              const std::vector<ConcreteStatistic>& stats);
-
-// Convenience dispatcher: uses the normal engine when all statistics are
-// simple (valid and fast, Theorem 6.1), otherwise the Γn cutting-plane
-// engine.
-BoundResult LpNormBound(int n, const std::vector<ConcreteStatistic>& stats,
-                        const EngineOptions& options = {});
 
 }  // namespace lpb
 

@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "bounds/engine.h"
+#include "bounds/bound_engine.h"
 #include "stats/statistic.h"
 
 namespace lpb {
@@ -29,8 +29,8 @@ struct SensitivityEntry {
 };
 
 // Per-statistic sensitivities for a solved bound. `result.h_opt` and
-// `result.weights` must come from PolymatroidBound / NormalPolymatroidBound
-// on exactly these statistics.
+// `result.weights` must come from an Evaluate with `want_h_opt` on exactly
+// these statistics (e.g. ComputeBound).
 std::vector<SensitivityEntry> AnalyzeSensitivity(
     const BoundResult& result, const std::vector<ConcreteStatistic>& stats,
     double eps = 1e-6);

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "bounds/normal_engine.h"
-
 namespace lpb {
 namespace {
 

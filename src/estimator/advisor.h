@@ -47,7 +47,6 @@
 #include <vector>
 
 #include "bounds/bound_engine.h"
-#include "bounds/engine.h"
 #include "estimator/norm_cache.h"
 #include "query/query.h"
 #include "relation/catalog.h"

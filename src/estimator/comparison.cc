@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "bounds/agm.h"
-#include "bounds/normal_engine.h"
+#include "bounds/bound_engine.h"
 #include "estimator/dsb.h"
 #include "estimator/traditional.h"
 #include "exec/generic_join.h"
@@ -54,9 +54,9 @@ std::vector<EstimateReport> CompareEstimators(const Query& query,
   out.push_back(
       {"AGM {1}", AgmBound(query, catalog).log2_bound, true});
   out.push_back({"PANDA {1,inf}",
-                 LpNormBound(n, FilterPandaStatistics(stats)).log2_bound,
-                 true});
-  out.push_back({"lp-norm bound", LpNormBound(n, stats).log2_bound, true});
+                 ComputeBound("panda", n, stats).log2_bound, true});
+  out.push_back(
+      {"lp-norm bound", ComputeBound("auto", n, stats).log2_bound, true});
   out.push_back(
       {"traditional", TraditionalEstimateLog2(query, catalog), false});
 

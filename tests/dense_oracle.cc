@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 
+#include "entropy/shannon.h"
 #include "lp/lp_backend.h"
 
 namespace lpb {
@@ -236,6 +237,28 @@ class DenseTableau {
 LpResult DenseOracleSolve(const LpProblem& problem,
                           const std::vector<double>& rhs) {
   return DenseTableau(problem, rhs).Solve();
+}
+
+LpProblem FullLatticeLp(int n, const std::vector<ConcreteStatistic>& stats) {
+  // h(∅) = 0 has no column.
+  auto terms = [](const LinearForm& form) {
+    std::vector<LpTerm> out;
+    for (const EntropyTerm& t : form) {
+      if (t.set != 0 && t.coef != 0.0) {
+        out.push_back({static_cast<int>(t.set) - 1, t.coef});
+      }
+    }
+    return out;
+  };
+  LpProblem lp((1 << n) - 1);
+  lp.SetObjective(static_cast<int>(FullSet(n)) - 1, 1.0);
+  for (const ConcreteStatistic& stat : stats) {
+    lp.AddConstraint(terms(stat.Lhs()), LpSense::kLe, stat.log_b);
+  }
+  for (const LinearForm& ineq : ElementalInequalities(n)) {
+    lp.AddConstraint(terms(ineq), LpSense::kGe, 0.0);
+  }
+  return lp;
 }
 
 }  // namespace lpb

@@ -13,6 +13,10 @@
 //
 // Cold solves only: a warm resolve of the production solver is checked
 // against an oracle cold solve at the same right-hand side.
+//
+// FullLatticeLp is the matching reference for the Γn bound engine: the
+// bound LP written out directly, sharing no code with the compiled
+// engines in bounds/bound_engine.cc.
 #ifndef LPB_TESTS_DENSE_ORACLE_H_
 #define LPB_TESTS_DENSE_ORACLE_H_
 
@@ -20,6 +24,7 @@
 
 #include "lp/lp_problem.h"
 #include "lp/simplex.h"
+#include "stats/statistic.h"
 
 namespace lpb {
 
@@ -29,6 +34,12 @@ namespace lpb {
 // x/duals always sized, path kCold.
 LpResult DenseOracleSolve(const LpProblem& problem,
                           const std::vector<double>& rhs = {});
+
+// The polymatroid bound LP over the fully materialized lattice Γn:
+// statistics rows (1/p)h(U) + h(V|U) <= log_b in statistics order (so the
+// first duals are the statistics' weights), then every elemental Shannon
+// inequality; maximize h(full). Column S - 1 is h(S).
+LpProblem FullLatticeLp(int n, const std::vector<ConcreteStatistic>& stats);
 
 }  // namespace lpb
 

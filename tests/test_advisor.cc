@@ -8,7 +8,7 @@
 #include "exec/generic_join.h"
 #include "exec/yannakakis.h"
 #include "query/parser.h"
-#include "bounds/normal_engine.h"
+#include "bounds/bound_engine.h"
 #include "estimator/advisor.h"
 #include "stats/collector.h"
 #include "util/random.h"
@@ -47,7 +47,7 @@ TEST(Advisor, MatchesCollectorPipeline) {
     CollectorOptions copt;
     copt.norms = AdvisorOptions{}.norms;
     auto stats = CollectStatistics(q, db, copt);
-    auto expected = LpNormBound(q.num_vars(), stats);
+    auto expected = ComputeBound("auto", q.num_vars(), stats);
     EXPECT_NEAR(advisor.EstimateLog2(q), expected.log2_bound, 1e-9) << text;
   }
 }
@@ -166,8 +166,8 @@ TEST(Advisor, CardinalityAssertionsSurviveNormsWithoutL1) {
   // The collector pipeline always asserts |R|; the advisor now agrees.
   CollectorOptions copt;
   copt.norms = options.norms;
-  const auto expected =
-      LpNormBound(q3.num_vars(), CollectStatistics(q3, wl.catalog, copt));
+  const auto expected = ComputeBound("auto", q3.num_vars(),
+                                     CollectStatistics(q3, wl.catalog, copt));
   EXPECT_NEAR(explanation.bound.log2_bound, expected.log2_bound, 1e-9);
 }
 
@@ -264,6 +264,42 @@ TEST(Advisor, EstimateLinearSpace) {
   CardinalityAdvisor advisor(db);
   Query q = Parse("R(X,Y), S(Y,Z)");
   EXPECT_NEAR(std::log2(advisor.Estimate(q)), advisor.EstimateLog2(q), 1e-9);
+}
+
+TEST(Advisor, IterationLimitReadsAsCannotBound) {
+  // An LP the solver gives up on certifies nothing. Every estimate path
+  // must answer +inf ("cannot bound"), never the 0.0 (one row) of an
+  // unsolved bound: the triangle below has 2^7.42 answers.
+  Catalog db = SmallDb(3);
+  const Query q = Parse("R(X,Y), S(Y,Z), T(Z,X)");
+  ASSERT_GT(CountJoin(q, db), 1u);
+  AdvisorOptions options;
+  options.engine.simplex.max_iterations = 1;
+  CardinalityAdvisor advisor(db, options);
+
+  const CardinalityAdvisor::Explanation explanation = advisor.Explain(q);
+  EXPECT_EQ(explanation.bound.status, LpStatus::kIterationLimit);
+  EXPECT_EQ(explanation.bound.log2_bound, kInfNorm);
+  const std::vector<double> values = ValuesOf(explanation.stats);
+
+  auto compiled = FindBoundEngine("auto")->Compile(
+      StructureOf(q.num_vars(), explanation.stats), options.engine);
+  const BoundResult direct = compiled->Evaluate(values);
+  EXPECT_EQ(direct.status, LpStatus::kIterationLimit);
+  EXPECT_EQ(direct.log2_bound, kInfNorm);
+  EXPECT_EQ(ComputeBound("auto", q.num_vars(), explanation.stats,
+                         options.engine)
+                .log2_bound,
+            kInfNorm);
+
+  EXPECT_EQ(advisor.EstimateLog2(q), kInfNorm);
+  const std::vector<std::vector<double>> block = {values, values};
+  for (double v : advisor.EstimateLog2Batch(q, block)) {
+    EXPECT_EQ(v, kInfNorm);
+  }
+  for (double v : advisor.EstimateLog2Batch(std::vector<Query>{q, q})) {
+    EXPECT_EQ(v, kInfNorm);
+  }
 }
 
 }  // namespace

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "bounds/bound_engine.h"
-#include "bounds/engine.h"
 #include "bounds/normal_engine.h"
 #include "datagen/job_gen.h"
 #include "estimator/advisor.h"
@@ -302,7 +301,7 @@ TEST(EvaluateBatch, UnboundedStructureShortCircuitsMidBatch) {
   // it must NOT take the shortcut, and its result must match what the
   // scalar sequence computes from the basis-free tableau.
   std::vector<ConcreteStatistic> stats = {Stat(0b01, 0b10, kInfNorm, 5.0)};
-  ASSERT_TRUE(NormalPolymatroidBound(2, stats).base.unbounded());
+  ASSERT_EQ(SolveLp(BuildNormalBoundLp(2, stats)).status, LpStatus::kUnbounded);
   for (const char* name : {"normal", "gamma", "auto"}) {
     const BoundStructure structure = StructureOf(2, stats);
     auto scalar_bound = FindBoundEngine(name)->Compile(structure);
@@ -570,7 +569,8 @@ TEST(EvaluateBatch, MixedBoundedAndUnboundedStructureGroups) {
   // group goes first.
   const std::vector<ConcreteStatistic> unbounded_stats = {
       Stat(0b01, 0b10, kInfNorm, 5.0)};
-  ASSERT_TRUE(NormalPolymatroidBound(2, unbounded_stats).base.unbounded());
+  ASSERT_EQ(SolveLp(BuildNormalBoundLp(2, unbounded_stats)).status,
+            LpStatus::kUnbounded);
   for (bool unbounded_first : {true, false}) {
     for (const char* name : {"normal", "gamma", "auto"}) {
       auto bounded = FindBoundEngine(name)->Compile(

@@ -17,8 +17,6 @@
 #include <vector>
 
 #include "bounds/bound_engine.h"
-#include "bounds/engine.h"
-#include "bounds/normal_engine.h"
 #include "exec/generic_join.h"
 #include "query/query.h"
 #include "relation/catalog.h"
@@ -159,7 +157,7 @@ TEST(BoundProperties, BoundIsMonotoneInEachInput) {
   }
 }
 
-TEST(BoundProperties, AgmDominatesLpNormBound) {
+TEST(BoundProperties, AgmDominatesAutoBound) {
   Rng rng(273);
   int comparable = 0;
   for (int trial = 0; trial < 10; ++trial) {

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "bounds/agm.h"
-#include "bounds/engine.h"
+#include "bounds/bound_engine.h"
 #include "bounds/formulas.h"
 #include "bounds/normal_engine.h"
+#include "dense_oracle.h"
 #include "entropy/polymatroid.h"
 #include "query/parser.h"
 #include "relation/degree_sequence.h"
@@ -26,7 +28,7 @@ ConcreteStatistic Stat(VarSet u, VarSet v, double p, double log_b) {
 
 TEST(Engine, SingleRelationCardinality) {
   // Q(X,Y) = R(X,Y), |R| <= 2^5: bound must be exactly 5.
-  auto r = PolymatroidBound(2, {Stat(0, 0b11, 1.0, 5.0)});
+  auto r = ComputeBound("gamma", 2, {Stat(0, 0b11, 1.0, 5.0)});
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(r.log2_bound, 5.0, 1e-7);
 }
@@ -38,7 +40,7 @@ TEST(Engine, TriangleAgmFromCardinalities) {
       Stat(0, 0b110, 1.0, 10.0),
       Stat(0, 0b101, 1.0, 10.0),
   };
-  auto r = PolymatroidBound(3, stats);
+  auto r = ComputeBound("gamma", 3, stats);
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(r.log2_bound, 15.0, 1e-7);
 }
@@ -54,7 +56,7 @@ TEST(Engine, TriangleMatchesAgmLp) {
   for (auto& s : stats) {
     s.sigma = {0, s.sigma.u};  // cardinality form (V|∅)
   }
-  auto r = PolymatroidBound(3, stats);
+  auto r = ComputeBound("gamma", 3, stats);
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(r.log2_bound, agm.log2_bound, 1e-6);
 }
@@ -67,7 +69,7 @@ TEST(Engine, SingleJoinL2EqualsCauchySchwarz) {
       Stat(0b010, 0b001, 2.0, b1),  // deg_R(X|Y), vars X=0,Y=1,Z=2
       Stat(0b010, 0b100, 2.0, b2),
   };
-  auto r = PolymatroidBound(3, stats);
+  auto r = ComputeBound("gamma", 3, stats);
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(r.log2_bound, JoinL2Log2(b1, b2), 1e-7);
 }
@@ -80,7 +82,7 @@ TEST(Engine, TriangleSymmetricL2) {
       Stat(0b010, 0b100, 2.0, l),   // deg_S(Z|Y)
       Stat(0b100, 0b001, 2.0, l),   // deg_T(X|Z)
   };
-  auto r = PolymatroidBound(3, stats);
+  auto r = ComputeBound("gamma", 3, stats);
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(r.log2_bound, TriangleL2Log2(l, l, l), 1e-7);
 }
@@ -98,7 +100,7 @@ TEST(Engine, BoundNeverExceedsClosedForms) {
         Stat(0b010, 0b100, 2.0, l2_s),    Stat(0b100, 0b001, 2.0, l2_t),
         Stat(0b010, 0b100, kInfNorm, inf_s),
     };
-    auto r = PolymatroidBound(3, stats);
+    auto r = ComputeBound("gamma", 3, stats);
     ASSERT_TRUE(r.ok());
     EXPECT_LE(r.log2_bound,
               TriangleAgmLog2(log_r, log_r, log_r) + 1e-7);
@@ -114,7 +116,7 @@ TEST(Engine, DualWeightsCertifyBound) {
       Stat(0b100, 0b001, 2.0, 5.0),
       Stat(0, 0b011, 1.0, 7.0),
   };
-  auto r = PolymatroidBound(3, stats);
+  auto r = ComputeBound("gamma", 3, stats);
   ASSERT_TRUE(r.ok());
   double certified = 0.0;
   for (size_t i = 0; i < stats.size(); ++i) {
@@ -130,7 +132,7 @@ TEST(Engine, OptimalVectorIsFeasiblePolymatroid) {
       Stat(0b010, 0b100, 2.0, 6.0),
       Stat(0, 0b101, 1.0, 7.0),
   };
-  auto r = PolymatroidBound(3, stats);
+  auto r = ComputeBound("gamma", 3, stats);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(IsPolymatroid(r.h_opt, 1e-6));
   for (const auto& s : stats) {
@@ -141,7 +143,7 @@ TEST(Engine, OptimalVectorIsFeasiblePolymatroid) {
 
 TEST(Engine, UnboundedWhenVariableUncovered) {
   // No statistic mentions variable Z: h(Z) is unconstrained.
-  auto r = PolymatroidBound(3, {Stat(0, 0b011, 1.0, 5.0)});
+  auto r = ComputeBound("gamma", 3, {Stat(0, 0b011, 1.0, 5.0)});
   EXPECT_TRUE(r.unbounded());
   EXPECT_TRUE(std::isinf(r.log2_bound));
 }
@@ -153,7 +155,7 @@ TEST(Engine, InfinityOnlyStatsUnbounded) {
       Stat(0b010, 0b100, kInfNorm, 2.0),
       Stat(0b100, 0b001, kInfNorm, 2.0),
   };
-  auto r = PolymatroidBound(3, stats);
+  auto r = ComputeBound("gamma", 3, stats);
   EXPECT_TRUE(r.unbounded());
 }
 
@@ -161,12 +163,12 @@ TEST(Engine, MoreStatisticsNeverWorsenBound) {
   std::vector<ConcreteStatistic> base = {
       Stat(0, 0b011, 1.0, 9.0), Stat(0, 0b110, 1.0, 9.0),
       Stat(0, 0b101, 1.0, 9.0)};
-  auto r1 = PolymatroidBound(3, base);
+  auto r1 = ComputeBound("gamma", 3, base);
   std::vector<ConcreteStatistic> more = base;
   more.push_back(Stat(0b001, 0b010, 2.0, 5.0));
-  auto r2 = PolymatroidBound(3, more);
+  auto r2 = ComputeBound("gamma", 3, more);
   more.push_back(Stat(0b010, 0b100, kInfNorm, 2.0));
-  auto r3 = PolymatroidBound(3, more);
+  auto r3 = ComputeBound("gamma", 3, more);
   ASSERT_TRUE(r1.ok() && r2.ok() && r3.ok());
   EXPECT_LE(r2.log2_bound, r1.log2_bound + 1e-7);
   EXPECT_LE(r3.log2_bound, r2.log2_bound + 1e-7);
@@ -177,14 +179,14 @@ TEST(Engine, TighterStatisticsTightenBound) {
       Stat(0, 0b011, 1.0, 10.0), Stat(0b010, 0b100, kInfNorm, 5.0)};
   std::vector<ConcreteStatistic> tight = {
       Stat(0, 0b011, 1.0, 10.0), Stat(0b010, 0b100, kInfNorm, 2.0)};
-  auto rl = PolymatroidBound(3, loose);
-  auto rt = PolymatroidBound(3, tight);
+  auto rl = ComputeBound("gamma", 3, loose);
+  auto rt = ComputeBound("gamma", 3, tight);
   ASSERT_TRUE(rl.ok() && rt.ok());
   EXPECT_NEAR(rl.log2_bound, 15.0, 1e-7);  // PANDA form |R|·D
   EXPECT_NEAR(rt.log2_bound, 12.0, 1e-7);
 }
 
-TEST(Engine, Example67PolymatroidBoundIsB) {
+TEST(Engine, Example67GammaBoundIsB) {
   // Example 6.7: triangle + unary atoms, ℓ4 statistics and unary
   // cardinalities all equal to b: the bound is exactly b.
   const double b = 6.0;
@@ -195,7 +197,7 @@ TEST(Engine, Example67PolymatroidBoundIsB) {
   };
   // Log-statistics of (40): h(X) <= b and h(X) + 4h(Y|X) <= b, i.e. the ℓ4
   // statement ||deg||_4 <= 2^{b/4} == ||deg||_4^4 <= 2^b.
-  auto r = PolymatroidBound(3, stats);
+  auto r = ComputeBound("gamma", 3, stats);
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(r.log2_bound, b, 1e-6);
 }
@@ -216,8 +218,8 @@ TEST(Engine, CuttingPlaneMatchesFullLattice) {
     full.full_lattice_max_n = 10;
     EngineOptions cuts;
     cuts.full_lattice_max_n = 1;  // force cutting-plane mode
-    auto rf = PolymatroidBound(n, stats, full);
-    auto rc = PolymatroidBound(n, stats, cuts);
+    auto rf = ComputeBound("gamma", n, stats, full);
+    auto rc = ComputeBound("gamma", n, stats, cuts);
     ASSERT_TRUE(rf.ok());
     ASSERT_TRUE(rc.ok());
     EXPECT_NEAR(rf.log2_bound, rc.log2_bound, 1e-5) << "trial " << trial;
@@ -229,7 +231,7 @@ TEST(Engine, CuttingPlaneMatchesFullLattice) {
 TEST(Engine, CuttingPlaneDetectsUnbounded) {
   EngineOptions cuts;
   cuts.full_lattice_max_n = 1;
-  auto r = PolymatroidBound(3, {Stat(0, 0b011, 1.0, 5.0)}, cuts);
+  auto r = ComputeBound("gamma", 3, {Stat(0, 0b011, 1.0, 5.0)}, cuts);
   EXPECT_TRUE(r.unbounded());
 }
 
@@ -240,15 +242,20 @@ TEST(Engine, FiltersSplitStatisticClasses) {
       Stat(0b001, 0b010, 2.0, 5.0),      // ℓ2
       Stat(0b010, 0b100, kInfNorm, 2.0), // ℓ∞
   };
-  EXPECT_EQ(FilterAgmStatistics(stats).size(), 1u);
-  EXPECT_EQ(FilterPandaStatistics(stats).size(), 3u);
+  const BoundStructure structure = StructureOf(3, stats);
+  EXPECT_EQ(std::count_if(structure.shapes.begin(), structure.shapes.end(),
+                          IsAgmShape),
+            1);
+  EXPECT_EQ(std::count_if(structure.shapes.begin(), structure.shapes.end(),
+                          IsPandaShape),
+            3);
 }
 
 TEST(Engine, SingletonRelationsGiveZeroBound) {
   // |R| = |S| = 1 (log_b = 0): the join has at most one tuple.
   std::vector<ConcreteStatistic> stats = {
       Stat(0, 0b011, 1.0, 0.0), Stat(0, 0b110, 1.0, 0.0)};
-  auto r = PolymatroidBound(3, stats);
+  auto r = ComputeBound("gamma", 3, stats);
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(r.log2_bound, 0.0, 1e-8);
 }
@@ -261,8 +268,8 @@ TEST(Engine, FractionalNormIndex) {
     return std::vector<ConcreteStatistic>{
         Stat(0b010, 0b001, p, b), Stat(0b010, 0b100, p, b)};
   };
-  auto r15 = PolymatroidBound(3, mk(1.5));
-  auto r2 = PolymatroidBound(3, mk(2.0));
+  auto r15 = ComputeBound("gamma", 3, mk(1.5));
+  auto r2 = ComputeBound("gamma", 3, mk(2.0));
   ASSERT_TRUE(r15.ok() && r2.ok());
   // Same log_b at a smaller p is a weaker constraint set: bound larger.
   EXPECT_GE(r15.log2_bound, r2.log2_bound - 1e-7);
@@ -270,14 +277,17 @@ TEST(Engine, FractionalNormIndex) {
 
 TEST(Engine, SubUnitCardinalityIsInfeasible) {
   // A statistic asserting |Π_XY(R)| <= 1/2 contradicts h >= 0: entropies
-  // of nonempty relations are nonnegative. The engine reports infeasible
-  // (the "bound" is that the output must be empty).
+  // of nonempty relations are nonnegative. The engines report infeasible
+  // (the "bound" is that the output must be empty, so log2 1 = 0 is sound).
   std::vector<ConcreteStatistic> stats = {
       Stat(0, 0b011, 1.0, -1.0),
       Stat(0, 0b110, 1.0, 3.0),
   };
-  auto r = PolymatroidBound(3, stats);
-  EXPECT_EQ(r.status, LpStatus::kInfeasible);
+  for (const char* engine : {"gamma", "normal", "auto"}) {
+    auto r = ComputeBound(engine, 3, stats);
+    EXPECT_EQ(r.status, LpStatus::kInfeasible) << engine;
+    EXPECT_EQ(r.log2_bound, 0.0) << engine;
+  }
 }
 
 TEST(Engine, GuardedTernaryConditionalNonSimple) {
@@ -287,7 +297,7 @@ TEST(Engine, GuardedTernaryConditionalNonSimple) {
       Stat(0b011, 0b100, 2.0, 2.0),  // (Z | XY), l2
       Stat(0, 0b011, 1.0, 6.0),      // |Pi_XY|
   };
-  auto r = PolymatroidBound(3, stats);
+  auto r = ComputeBound("gamma", 3, stats);
   ASSERT_TRUE(r.ok());
   // h(XYZ) <= 2 + h(XY)/2 and monotonicity h(XYZ) >= h(XY) force
   // h(XY) <= 4, so the optimum is h(XYZ) = 4 (not the naive 2 + 6/2).
@@ -297,7 +307,9 @@ TEST(Engine, GuardedTernaryConditionalNonSimple) {
 // --- Normal engine and Theorem 6.1 ----------------------------------------
 
 TEST(NormalEngine, MatchesPolymatroidOnSimpleStats) {
-  // Theorem 6.1: for simple statistics the Nn and Γn bounds coincide.
+  // Theorem 6.1: for simple statistics the Nn and Γn bounds coincide. The
+  // Γn side is the oracle over the full lattice, independent of the
+  // engines.
   Rng rng(53);
   for (int trial = 0; trial < 15; ++trial) {
     const int n = 3 + static_cast<int>(rng.Uniform(2));
@@ -311,46 +323,54 @@ TEST(NormalEngine, MatchesPolymatroidOnSimpleStats) {
       stats.push_back(Stat(0, u | v, 1.0, 4.0 + 4.0 * rng.NextDouble()));
     }
     if (stats.empty()) continue;
-    auto rn = NormalPolymatroidBound(n, stats);
-    auto rp = PolymatroidBound(n, stats);
-    ASSERT_EQ(rn.base.status, rp.status) << "trial " << trial;
-    if (!rp.ok()) continue;
-    EXPECT_NEAR(rn.base.log2_bound, rp.log2_bound, 1e-5) << "trial " << trial;
+    auto rn = ComputeBound("normal", n, stats);
+    const LpResult rp = DenseOracleSolve(FullLatticeLp(n, stats));
+    ASSERT_EQ(rn.status, rp.status) << "trial " << trial;
+    if (rp.status != LpStatus::kOptimal) continue;
+    EXPECT_NEAR(rn.log2_bound, rp.objective, 1e-5) << "trial " << trial;
   }
 }
 
 TEST(NormalEngine, AlphaReconstructsOptimum) {
   std::vector<ConcreteStatistic> stats = {
       Stat(0, 0b011, 1.0, 8.0), Stat(0b010, 0b100, kInfNorm, 3.0)};
-  auto r = NormalPolymatroidBound(3, stats);
-  ASSERT_TRUE(r.base.ok());
+  auto r = ComputeBound("normal", 3, stats);
+  ASSERT_TRUE(r.ok());
   SetFunction h = SetFunction::NormalCombination(3, r.alpha);
-  EXPECT_LT(h.MaxDiff(r.base.h_opt), 1e-9);
-  EXPECT_NEAR(h[FullSet(3)], r.base.log2_bound, 1e-7);
+  EXPECT_LT(h.MaxDiff(r.h_opt), 1e-9);
+  EXPECT_NEAR(h[FullSet(3)], r.log2_bound, 1e-7);
   for (double a : r.alpha) EXPECT_GE(a, -1e-9);
+  // α* rides along with h*, and only the normal engine has one.
+  auto compiled = FindBoundEngine("normal")->Compile(StructureOf(3, stats));
+  EXPECT_TRUE(compiled->Evaluate(ValuesOf(stats), /*want_h_opt=*/false)
+                  .alpha.empty());
+  EXPECT_TRUE(ComputeBound("gamma", 3, stats).alpha.empty());
 }
 
 TEST(NormalEngine, NonSimpleUnderestimates) {
   // For a NON-simple statistic the Nn optimum can drop below the Γn bound;
-  // it must never exceed it.
+  // it must never exceed it. The "normal" engine refuses such structures,
+  // so the Nn side solves the unpruned LP directly.
   std::vector<ConcreteStatistic> stats = {
       Stat(0b011, 0b100, 2.0, 3.0),  // (Z | XY): not simple
       Stat(0, 0b011, 1.0, 5.0),
   };
-  auto rn = NormalPolymatroidBound(3, stats, /*require_simple=*/false);
-  auto rp = PolymatroidBound(3, stats);
-  ASSERT_TRUE(rn.base.ok());
+  const LpResult rn = SolveLp(BuildNormalBoundLp(3, stats));
+  auto rp = ComputeBound("gamma", 3, stats);
+  ASSERT_EQ(rn.status, LpStatus::kOptimal);
   ASSERT_TRUE(rp.ok());
-  EXPECT_LE(rn.base.log2_bound, rp.log2_bound + 1e-7);
+  EXPECT_LE(rn.objective, rp.log2_bound + 1e-7);
 }
 
 TEST(NormalEngine, DispatcherPicksNormalForSimple) {
   std::vector<ConcreteStatistic> stats = {
       Stat(0, 0b011, 1.0, 8.0), Stat(0b010, 0b100, 2.0, 3.0)};
-  auto r = LpNormBound(3, stats);
-  auto rn = NormalPolymatroidBound(3, stats);
+  auto r = ComputeBound("auto", 3, stats);
+  auto rn = ComputeBound("normal", 3, stats);
   ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(r.log2_bound, rn.base.log2_bound, 1e-9);
+  EXPECT_NEAR(r.log2_bound, rn.log2_bound, 1e-9);
+  // Only the normal engine reports step-function coefficients.
+  EXPECT_FALSE(r.alpha.empty());
 }
 
 // --- PANDA / AGM specializations on the cycle (Example 2.3 / C.5) ---------
@@ -373,7 +393,7 @@ TEST(Engine, CycleBoundsMatchExample23) {
       }
       stats.push_back(Stat(u, v, kInfNorm, log_n / k));
     }
-    auto r = PolymatroidBound(k, stats);
+    auto r = ComputeBound("gamma", k, stats);
     ASSERT_TRUE(r.ok());
     // Bound (21) with q = p: each factor ||deg||_p^{p/(p+1)} = N^{1/(p+1)}
     // to the p/(p+1)... total log = k * (p/(p+1)) * (log_n / p).

@@ -7,8 +7,7 @@
 #include <cmath>
 
 #include "bounds/agm.h"
-#include "bounds/engine.h"
-#include "bounds/normal_engine.h"
+#include "bounds/bound_engine.h"
 #include "datagen/alpha_beta.h"
 #include "datagen/graph_gen.h"
 #include "datagen/job_gen.h"
@@ -70,14 +69,14 @@ TEST(Soundness, RandomDatabasesAllQueries) {
       CollectorOptions opt;
       opt.norms = {1.0, 2.0, 3.0, kInfNorm};
       auto stats = CollectStatistics(q, db, opt);
-      auto bound = PolymatroidBound(q.num_vars(), stats);
+      auto bound = ComputeBound("gamma", q.num_vars(), stats);
       ASSERT_TRUE(bound.ok()) << text;
       EXPECT_GE(bound.log2_bound, Log2Count(truth) - 1e-6)
           << text << " trial " << trial;
       // Theorem 6.1 cross-check on the same inputs.
-      auto normal = NormalPolymatroidBound(q.num_vars(), stats);
-      ASSERT_TRUE(normal.base.ok());
-      EXPECT_NEAR(normal.base.log2_bound, bound.log2_bound, 1e-5) << text;
+      auto normal = ComputeBound("normal", q.num_vars(), stats);
+      ASSERT_TRUE(normal.ok());
+      EXPECT_NEAR(normal.log2_bound, bound.log2_bound, 1e-5) << text;
     }
   }
 }
@@ -92,9 +91,9 @@ TEST(Soundness, BoundHierarchyAgmPandaOurs) {
     CollectorOptions opt;
     opt.norms = {1.0, 2.0, 3.0, 4.0, kInfNorm};
     auto stats = CollectStatistics(q, db, opt);
-    auto agm = PolymatroidBound(q.num_vars(), FilterAgmStatistics(stats));
-    auto panda = PolymatroidBound(q.num_vars(), FilterPandaStatistics(stats));
-    auto ours = PolymatroidBound(q.num_vars(), stats);
+    auto agm = ComputeBound("agm", q.num_vars(), stats);
+    auto panda = ComputeBound("panda", q.num_vars(), stats);
+    auto ours = ComputeBound("gamma", q.num_vars(), stats);
     ASSERT_TRUE(agm.ok() && panda.ok() && ours.ok());
     const double truth = Log2Count(CountJoin(q, db));
     EXPECT_GE(ours.log2_bound, truth - 1e-6);
@@ -119,12 +118,12 @@ TEST(Soundness, PowerLawGraphTriangle) {
   CollectorOptions opt;
   opt.norms = {1.0, 2.0, 3.0, kInfNorm};
   auto stats = CollectStatistics(q, db, opt);
-  auto bound = LpNormBound(q.num_vars(), stats);
+  auto bound = ComputeBound("auto", q.num_vars(), stats);
   ASSERT_TRUE(bound.ok());
   const uint64_t truth = CountJoin(q, db);
   EXPECT_GE(bound.log2_bound, Log2Count(truth) - 1e-6);
   // And the ℓ2 bound beats AGM on a skewed graph.
-  auto agm = LpNormBound(q.num_vars(), FilterAgmStatistics(stats));
+  auto agm = ComputeBound("agm", q.num_vars(), stats);
   EXPECT_LT(bound.log2_bound, agm.log2_bound);
 }
 
@@ -137,7 +136,7 @@ TEST(Soundness, SelfJoinL2IsExact) {
   opt.norms = {2.0};
   opt.include_cardinalities = false;
   auto stats = CollectStatistics(q, db, opt);
-  auto bound = LpNormBound(q.num_vars(), stats);
+  auto bound = ComputeBound("auto", q.num_vars(), stats);
   ASSERT_TRUE(bound.ok());
   EXPECT_NEAR(bound.log2_bound, Log2Count(CountJoin(q, db)), 1e-6);
 }
@@ -149,7 +148,7 @@ TEST(Soundness, ChainQueryWithManyNorms) {
   CollectorOptions opt;
   opt.norms = {1.0, 2.0, 3.0, 4.0, 5.0, kInfNorm};
   auto stats = CollectStatistics(q, db, opt);
-  auto bound = LpNormBound(q.num_vars(), stats);
+  auto bound = ComputeBound("auto", q.num_vars(), stats);
   ASSERT_TRUE(bound.ok());
   EXPECT_GE(bound.log2_bound, Log2Count(CountJoin(q, db)) - 1e-6);
 }
@@ -185,7 +184,7 @@ TEST(Comparison, AppendixC3GapInstance) {
   CollectorOptions opt;
   opt.norms = {1.0, 2.0, 3.0, 4.0, 5.0, kInfNorm};
   auto stats = CollectStatistics(q, db, opt);
-  auto bound = LpNormBound(q.num_vars(), stats);
+  auto bound = ComputeBound("auto", q.num_vars(), stats);
   ASSERT_TRUE(bound.ok());
   DegreeSequence a = ComputeDegreeSequence(db.Get("R"), {1}, {0});
   DegreeSequence b = ComputeDegreeSequence(db.Get("S"), {0}, {1});
@@ -207,7 +206,7 @@ TEST(Comparison, TraditionalVsBoundsOnJobQuery) {
   CollectorOptions copt;
   copt.norms = {1.0, 2.0, 3.0, kInfNorm};
   auto stats = CollectStatistics(q, wl.catalog, copt);
-  auto bound = LpNormBound(q.num_vars(), stats);
+  auto bound = ComputeBound("auto", q.num_vars(), stats);
   ASSERT_TRUE(bound.ok());
   EXPECT_GE(bound.log2_bound, Log2Count(truth) - 1e-6);
   // PK/FK joins: ours should be within a few orders of magnitude, while
@@ -227,7 +226,7 @@ TEST(Comparison, JobQueriesSoundAcrossTheWorkload) {
     const Query& q = wl.queries[idx];
     const uint64_t truth = CountJoin(q, wl.catalog);
     auto stats = CollectStatistics(q, wl.catalog, copt);
-    auto bound = LpNormBound(q.num_vars(), stats);
+    auto bound = ComputeBound("auto", q.num_vars(), stats);
     ASSERT_TRUE(bound.ok()) << q.name();
     EXPECT_GE(bound.log2_bound, Log2Count(truth) - 1e-6) << q.name();
   }
@@ -252,7 +251,7 @@ TEST(Soundness, LoomisWhitneyTernaryAtoms) {
   opt.max_u_size = 2;  // non-simple conditionals like (YZ|X)
   auto stats = CollectStatistics(q, db, opt);
   EXPECT_FALSE(AllSimple(stats));
-  auto bound = PolymatroidBound(q.num_vars(), stats);
+  auto bound = ComputeBound("gamma", q.num_vars(), stats);
   ASSERT_TRUE(bound.ok());
   EXPECT_GE(bound.log2_bound, Log2Count(CountJoin(q, db)) - 1e-6);
 }
@@ -269,7 +268,7 @@ TEST(Soundness, CompressedStatisticsRemainSound) {
   CollectorOptions opt;
   opt.norms = {1.0, 2.0, 3.0, kInfNorm};
   auto exact_stats = CollectStatistics(q, db, opt);
-  auto exact = LpNormBound(q.num_vars(), exact_stats);
+  auto exact = ComputeBound("auto", q.num_vars(), exact_stats);
 
   // Recompute each statistic from the compressed sequence.
   auto compressed_stats = exact_stats;
@@ -292,7 +291,7 @@ TEST(Soundness, CompressedStatisticsRemainSound) {
                                  copt)
                   .Log2NormP(s.p);
   }
-  auto compressed = LpNormBound(q.num_vars(), compressed_stats);
+  auto compressed = ComputeBound("auto", q.num_vars(), compressed_stats);
   ASSERT_TRUE(exact.ok() && compressed.ok());
   EXPECT_GE(compressed.log2_bound, exact.log2_bound - 1e-7);
   EXPECT_GE(compressed.log2_bound, truth - 1e-6);
@@ -307,12 +306,12 @@ TEST(Soundness, AmplificationScalesTheBoundLinearly) {
   CollectorOptions opt;
   opt.norms = {1.0, 2.0, kInfNorm};
   auto stats = CollectStatistics(q, db, opt);
-  auto base = PolymatroidBound(q.num_vars(), stats);
+  auto base = ComputeBound("gamma", q.num_vars(), stats);
   ASSERT_TRUE(base.ok());
   for (double k : {2.0, 3.5}) {
     auto scaled = stats;
     for (auto& s : scaled) s.log_b *= k;
-    auto r = PolymatroidBound(q.num_vars(), scaled);
+    auto r = ComputeBound("gamma", q.num_vars(), scaled);
     ASSERT_TRUE(r.ok());
     EXPECT_NEAR(r.log2_bound, k * base.log2_bound, 1e-5) << k;
   }
@@ -328,7 +327,7 @@ TEST(Comparison, WeightsRevealWhichNormsMatter) {
   CollectorOptions copt;
   copt.norms = {1.0, 2.0, kInfNorm};
   auto stats = CollectStatistics(q, wl.catalog, copt);
-  auto bound = PolymatroidBound(q.num_vars(), stats);
+  auto bound = ComputeBound("gamma", q.num_vars(), stats);
   ASSERT_TRUE(bound.ok());
   bool uses_inf_on_key = false;
   for (size_t i = 0; i < stats.size(); ++i) {

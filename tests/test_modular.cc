@@ -5,7 +5,7 @@
 
 #include <cmath>
 
-#include "bounds/engine.h"
+#include "bounds/bound_engine.h"
 #include "bounds/modular.h"
 #include "exec/generic_join.h"
 #include "query/hypergraph.h"
@@ -24,7 +24,7 @@ ConcreteStatistic Stat(VarSet u, VarSet v, double p, double log_b) {
   return s;
 }
 
-TEST(Modular, NeverExceedsPolymatroidBound) {
+TEST(Modular, NeverExceedsGammaBound) {
   // Mn ⊂ Γn: the modular optimum is a lower bound on the Γn optimum.
   std::vector<ConcreteStatistic> stats = {
       Stat(0, 0b011, 1.0, 8.0),
@@ -32,7 +32,7 @@ TEST(Modular, NeverExceedsPolymatroidBound) {
       Stat(0b010, 0b100, 3.0, 4.0),
   };
   auto mod = ModularBound(3, stats);
-  auto poly = PolymatroidBound(3, stats);
+  auto poly = ComputeBound("gamma", 3, stats);
   ASSERT_TRUE(mod.base.ok());
   ASSERT_TRUE(poly.ok());
   EXPECT_LE(mod.base.log2_bound, poly.log2_bound + 1e-7);
@@ -76,7 +76,7 @@ TEST(Modular, ExampleB1TwoCycleIsUnsound) {
             mod.base.log2_bound + 1.0);
 
   // The polymatroid bound is sound on the same statistics.
-  auto poly = PolymatroidBound(2, stats);
+  auto poly = ComputeBound("gamma", 2, stats);
   ASSERT_TRUE(poly.ok());
   EXPECT_GE(poly.log2_bound,
             std::log2(static_cast<double>(truth)) - 1e-6);
@@ -92,7 +92,7 @@ TEST(Modular, TheoremB2GirthConditionRestoresEquality) {
       Stat(0b100, 0b001, 2.0, b),
   };
   auto mod = ModularBound(3, tri);
-  auto poly = PolymatroidBound(3, tri);
+  auto poly = ComputeBound("gamma", 3, tri);
   ASSERT_TRUE(mod.base.ok() && poly.ok());
   EXPECT_NEAR(mod.base.log2_bound, poly.log2_bound, 1e-6);
 
@@ -102,7 +102,7 @@ TEST(Modular, TheoremB2GirthConditionRestoresEquality) {
     cyc4.push_back(Stat(VarBit(i), VarBit((i + 1) % 4), 3.0, b));
   }
   auto mod4 = ModularBound(4, cyc4);
-  auto poly4 = PolymatroidBound(4, cyc4);
+  auto poly4 = ComputeBound("gamma", 4, cyc4);
   ASSERT_TRUE(mod4.base.ok() && poly4.ok());
   EXPECT_NEAR(mod4.base.log2_bound, poly4.log2_bound, 1e-6);
 }
@@ -117,7 +117,7 @@ TEST(Modular, TriangleWithL3ViolatesGirthAndSplits) {
     tri.push_back(Stat(VarBit(i), VarBit((i + 1) % 3), 3.0, b));
   }
   auto mod = ModularBound(3, tri);
-  auto poly = PolymatroidBound(3, tri);
+  auto poly = ComputeBound("gamma", 3, tri);
   ASSERT_TRUE(mod.base.ok() && poly.ok());
   EXPECT_LT(mod.base.log2_bound, poly.log2_bound - 0.1);
 }
@@ -148,7 +148,7 @@ TEST(Modular, MeasuredStatisticsStayBelowPolymatroid) {
   opt.norms = {1.0, 2.0, 3.0, kInfNorm};
   auto stats = CollectStatistics(q, db, opt);
   auto mod = ModularBound(q.num_vars(), stats);
-  auto poly = PolymatroidBound(q.num_vars(), stats);
+  auto poly = ComputeBound("gamma", q.num_vars(), stats);
   ASSERT_TRUE(mod.base.ok() && poly.ok());
   EXPECT_LE(mod.base.log2_bound, poly.log2_bound + 1e-7);
 }

@@ -8,7 +8,7 @@
 
 #include <cmath>
 
-#include "bounds/engine.h"
+#include "bounds/bound_engine.h"
 #include "entropy/polymatroid.h"
 #include "entropy/shannon.h"
 #include "stats/statistic.h"
@@ -66,10 +66,10 @@ TEST(NonShannon, LatticePolymatroidSatisfiesTheStatistics) {
   EXPECT_NEAR(h[FullSet(4)], 4.0, 1e-12);
 }
 
-TEST(NonShannon, PolymatroidBoundIsAtLeast4k) {
+TEST(NonShannon, GammaBoundIsAtLeast4k) {
   // The scaled lattice polymatroid is feasible, so Log-L-Bound_Γ4 >= 4k.
   for (double k : {1.0, 2.0, 5.0}) {
-    auto r = PolymatroidBound(4, AppendixD2Stats(k));
+    auto r = ComputeBound("gamma", 4, AppendixD2Stats(k));
     ASSERT_TRUE(r.ok());
     EXPECT_GE(r.log2_bound, 4.0 * k - 1e-6) << "k=" << k;
   }
@@ -95,11 +95,11 @@ TEST(NonShannon, WitnessInequality59CapsEntropicVectorsAt35kOver9) {
   (void)stats;
 }
 
-TEST(NonShannon, GapBetweenEntropicAndPolymatroidBound) {
+TEST(NonShannon, GapBetweenEntropicAndGammaBound) {
   // 35/36 = (35k/9) / (4k): the polymatroid bound overshoots what any
   // database can reach by a 2^{k/9} factor.
   const double k = 9.0;
-  auto r = PolymatroidBound(4, AppendixD2Stats(k));
+  auto r = ComputeBound("gamma", 4, AppendixD2Stats(k));
   ASSERT_TRUE(r.ok());
   const double entropic_cap = 35.0 * k / 9.0;
   EXPECT_GE(r.log2_bound, 4.0 * k - 1e-6);

@@ -3,7 +3,7 @@
 
 #include <cmath>
 
-#include "bounds/normal_engine.h"
+#include "bounds/bound_engine.h"
 #include "bounds/sensitivity.h"
 #include "estimator/comparison.h"
 #include "exec/generic_join.h"
@@ -31,7 +31,7 @@ TEST(Sensitivity, BindingStatisticsCarryTheWeight) {
       Stat(0b010, 0b100, 2.0, 3.0),
       Stat(0, 0b011, 1.0, 50.0),  // uselessly loose
   };
-  auto bound = PolymatroidBound(3, stats);
+  auto bound = ComputeBound("gamma", 3, stats);
   ASSERT_TRUE(bound.ok());
   auto entries = AnalyzeSensitivity(bound, stats);
   ASSERT_EQ(entries.size(), 3u);
@@ -51,12 +51,12 @@ TEST(Sensitivity, WeightsPredictBoundChange) {
       Stat(0b010, 0b001, 2.0, 3.0),
       Stat(0b010, 0b100, 2.0, 4.0),
   };
-  auto before = PolymatroidBound(3, stats);
+  auto before = ComputeBound("gamma", 3, stats);
   ASSERT_TRUE(before.ok());
   auto entries = AnalyzeSensitivity(before, stats);
   const double delta = 0.25;
   stats[0].log_b -= delta;
-  auto after = PolymatroidBound(3, stats);
+  auto after = ComputeBound("gamma", 3, stats);
   ASSERT_TRUE(after.ok());
   EXPECT_NEAR(after.log2_bound,
               before.log2_bound - entries[0].weight * delta, 1e-6);
@@ -72,7 +72,7 @@ TEST(Sensitivity, SlackIsNonNegativeAtOptimum) {
       stats.push_back(Stat(VarBit(i), VarBit((i + 1) % 3),
                            1.0 + rng.Uniform(3), 1.0 + rng.NextDouble()));
     }
-    auto bound = PolymatroidBound(3, stats);
+    auto bound = ComputeBound("gamma", 3, stats);
     ASSERT_TRUE(bound.ok());
     for (const auto& e : AnalyzeSensitivity(bound, stats)) {
       EXPECT_GE(e.slack, -1e-6);
@@ -90,7 +90,7 @@ TEST(Sensitivity, FormatListsBindingFirst) {
   stats[0].label = "R: (X|Y) p=2";
   stats[1].label = "R: card";
   stats[2].label = "S: (Z|Y) p=2";
-  auto bound = PolymatroidBound(3, stats);
+  auto bound = ComputeBound("gamma", 3, stats);
   ASSERT_TRUE(bound.ok());
   std::string report =
       FormatSensitivity(AnalyzeSensitivity(bound, stats), stats);

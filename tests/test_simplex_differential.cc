@@ -27,12 +27,9 @@
 #include <vector>
 
 #include "bounds/bound_engine.h"
-#include "bounds/engine.h"
 #include "bounds/normal_engine.h"
-#include "bounds/shannon_cuts.h"
 #include "datagen/gamma_stats.h"
 #include "dense_oracle.h"
-#include "entropy/shannon.h"
 #include "lp/lp_problem.h"
 #include "lp/simplex.h"
 #include "lp/tableau.h"
@@ -370,21 +367,6 @@ std::vector<ConcreteStatistic> RandomSimpleStats(Rng& rng, int n,
   return RandomSimpleGammaStats(rng, n, count);
 }
 
-// The polymatroid bound LP over the fully materialized lattice Γn:
-// statistics rows (1/p)h(U) + h(V|U) <= log_b, then every elemental
-// Shannon inequality; maximize h(full).
-LpProblem FullLatticeLp(int n, const std::vector<ConcreteStatistic>& stats) {
-  LpProblem lp((1 << n) - 1);
-  lp.SetObjective(static_cast<int>(FullSet(n)) - 1, 1.0);
-  for (const ConcreteStatistic& stat : stats) {
-    lp.AddConstraint(FormToTerms(stat.Lhs()), LpSense::kLe, stat.log_b);
-  }
-  for (const LinearForm& ineq : ElementalInequalities(n)) {
-    lp.AddConstraint(FormToTerms(ineq), LpSense::kGe, 0.0);
-  }
-  return lp;
-}
-
 TEST(SimplexDifferential, GammaCuttingPlaneMatchesOracleFullLattice) {
   const uint64_t seed = HarnessSeed() ^ 0xabcdef12345ull;
   Rng rng(seed);
@@ -401,7 +383,7 @@ TEST(SimplexDifferential, GammaCuttingPlaneMatchesOracleFullLattice) {
           EngineOptions options;
           options.full_lattice_max_n = full_lattice_max_n;
           options.simplex.pricing = rule;
-          const BoundResult result = PolymatroidBound(n, stats, options);
+          const BoundResult result = ComputeBound("gamma", n, stats, options);
           const std::string context =
               "seed " + std::to_string(seed) + " n " + std::to_string(n) +
               " trial " + std::to_string(trial) +
@@ -482,12 +464,13 @@ TEST(SimplexDifferential, WarmCutAppendsMatchColdCutGrowth) {
 // Forrest–Tomlin long-chain differential: with the update budget raised,
 // one solve carries 100+ FT updates between refactorizations, and the
 // factorization must stay accurate across the whole chain — both pricing
-// rules, verified against the exact normal-polymatroid bound.
+// rules, verified against the exact normal-polymatroid bound (the oracle
+// on the Nn LP).
 TEST(SimplexDifferential, ForrestTomlinCarriesLongUpdateChains) {
   Rng rng(HarnessSeed() ^ 0xfeedull);
   const int n = 7;
   const std::vector<ConcreteStatistic> stats = RandomSimpleStats(rng, n, 10);
-  const BoundResult reference = NormalPolymatroidBound(n, stats).base;
+  const LpResult reference = DenseOracleSolve(BuildNormalBoundLp(n, stats));
   ASSERT_EQ(reference.status, LpStatus::kOptimal);
 
   for (PricingRule rule : kPricingRules) {
@@ -501,8 +484,8 @@ TEST(SimplexDifferential, ForrestTomlinCarriesLongUpdateChains) {
     const std::string context =
         std::string("long-chain ") + PricingRuleName(rule);
     ASSERT_EQ(result.status, LpStatus::kOptimal) << context;
-    EXPECT_NEAR(result.log2_bound, reference.log2_bound,
-                1e-6 * std::max(1.0, std::abs(reference.log2_bound)))
+    EXPECT_NEAR(result.log2_bound, reference.objective,
+                1e-6 * std::max(1.0, std::abs(reference.objective)))
         << context;
     // The chains actually ran long: hundreds of FT updates total, and the
     // only refactorizations left are fill-budget or stability-forced ones
@@ -519,12 +502,12 @@ TEST(SimplexDifferential, ForrestTomlinCarriesLongUpdateChains) {
 // evaluates a Γn *cutting-plane* bound at n = 8, where a dense tableau
 // grinds (its per-pivot sweep is O(rows × 2^n) on every cut round). The
 // statistics are simple, so the exact normal-polymatroid bound (Theorem
-// 6.1) is an independent reference for the value.
+// 6.1, the oracle on the Nn LP) is an independent reference for the value.
 TEST(SimplexDifferential, RevisedCompilesGammaCuttingPlaneAtN8) {
   Rng rng(HarnessSeed() ^ 0x5151ull);
   const int n = 8;
   const std::vector<ConcreteStatistic> stats = RandomSimpleStats(rng, n, 12);
-  const BoundResult reference = NormalPolymatroidBound(n, stats).base;
+  const LpResult reference = DenseOracleSolve(BuildNormalBoundLp(n, stats));
   ASSERT_EQ(reference.status, LpStatus::kOptimal);
 
   const BoundEngine* gamma = FindBoundEngine("gamma");
@@ -537,8 +520,8 @@ TEST(SimplexDifferential, RevisedCompilesGammaCuttingPlaneAtN8) {
     auto compiled = gamma->Compile(StructureOf(n, stats), cut);
     BoundResult result = compiled->Evaluate(ValuesOf(stats));
     ASSERT_EQ(result.status, LpStatus::kOptimal) << context;
-    EXPECT_NEAR(result.log2_bound, reference.log2_bound,
-                1e-6 * std::max(1.0, std::abs(reference.log2_bound)))
+    EXPECT_NEAR(result.log2_bound, reference.objective,
+                1e-6 * std::max(1.0, std::abs(reference.objective)))
         << context;
 
     // Compile-once / evaluate-many: scaled values re-price against the
@@ -547,8 +530,8 @@ TEST(SimplexDifferential, RevisedCompilesGammaCuttingPlaneAtN8) {
     for (double& v : scaled) v *= 1.05;
     BoundResult rescored = compiled->Evaluate(scaled, /*want_h_opt=*/false);
     ASSERT_EQ(rescored.status, LpStatus::kOptimal) << context;
-    EXPECT_NEAR(rescored.log2_bound, reference.log2_bound * 1.05,
-                1e-5 * std::max(1.0, std::abs(reference.log2_bound)))
+    EXPECT_NEAR(rescored.log2_bound, reference.objective * 1.05,
+                1e-5 * std::max(1.0, std::abs(reference.objective)))
         << context;
   }
 }

@@ -2,13 +2,14 @@
 
 #include <cmath>
 
-#include "bounds/normal_engine.h"
+#include "bounds/bound_engine.h"
 #include "bounds/worst_case.h"
 #include "entropy/relation_entropy.h"
 #include "entropy/set_function.h"
 #include "exec/generic_join.h"
 #include "query/parser.h"
 #include "stats/collector.h"
+#include "util/random.h"
 
 namespace lpb {
 namespace {
@@ -90,15 +91,15 @@ TEST(WorstCase, Example67WorstCaseInstanceAchievesBound) {
       Stat(0, VarBit(q.VarIndex("Y")), 1.0, b),
       Stat(0, VarBit(q.VarIndex("Z")), 1.0, b),
   };
-  auto bound = NormalPolymatroidBound(q.num_vars(), stats);
-  ASSERT_TRUE(bound.base.ok());
-  EXPECT_NEAR(bound.base.log2_bound, b, 1e-6);
+  auto bound = ComputeBound("normal", q.num_vars(), stats);
+  ASSERT_TRUE(bound.ok());
+  EXPECT_NEAR(bound.log2_bound, b, 1e-6);
 
   WorstCaseInstance wc = BuildWorstCaseDatabase(q, bound.alpha);
   const uint64_t count = CountJoin(q, wc.database);
   // Tightness within the rounding constant: |Q(D)| >= 2^{bound}/2^c, c = 1.
   EXPECT_GE(static_cast<double>(count),
-            std::exp2(bound.base.log2_bound) / 2.0 - 1e-6);
+            std::exp2(bound.log2_bound) / 2.0 - 1e-6);
   EXPECT_EQ(count, wc.witness.NumRows());
 }
 
@@ -111,8 +112,8 @@ TEST(WorstCase, DatabaseSatisfiesTheStatistics) {
       Stat(0b010, 0b001, 2.0, 4.0),
       Stat(0b010, 0b100, 2.0, 4.0),
   };
-  auto bound = NormalPolymatroidBound(q.num_vars(), stats);
-  ASSERT_TRUE(bound.base.ok());
+  auto bound = ComputeBound("normal", q.num_vars(), stats);
+  ASSERT_TRUE(bound.ok());
   WorstCaseInstance wc = BuildWorstCaseDatabase(q, bound.alpha);
   for (const auto& s : stats) {
     // Identify the guarding atom by variable containment.
@@ -125,7 +126,7 @@ TEST(WorstCase, DatabaseSatisfiesTheStatistics) {
   }
   // And the join achieves the bound within the 2^c constant (c <= #steps).
   const double count = static_cast<double>(CountJoin(q, wc.database));
-  EXPECT_GE(std::log2(count + 0.5), bound.base.log2_bound - 2.0);
+  EXPECT_GE(std::log2(count + 0.5), bound.log2_bound - 2.0);
 }
 
 TEST(WorstCase, SingleJoinSelfJoinFreeTightness) {
@@ -136,12 +137,12 @@ TEST(WorstCase, SingleJoinSelfJoinFreeTightness) {
       Stat(0b010, 0b001, 2.0, 3.0),
       Stat(0b010, 0b100, 2.0, 3.0),
   };
-  auto bound = NormalPolymatroidBound(q.num_vars(), stats);
-  ASSERT_TRUE(bound.base.ok());
-  EXPECT_NEAR(bound.base.log2_bound, 6.0, 1e-6);
+  auto bound = ComputeBound("normal", q.num_vars(), stats);
+  ASSERT_TRUE(bound.ok());
+  EXPECT_NEAR(bound.log2_bound, 6.0, 1e-6);
   WorstCaseInstance wc = BuildWorstCaseDatabase(q, bound.alpha);
   const double count = static_cast<double>(CountJoin(q, wc.database));
-  EXPECT_GE(std::log2(count), bound.base.log2_bound - 2.0);
+  EXPECT_GE(std::log2(count), bound.log2_bound - 2.0);
 }
 
 TEST(WorstCase, ChainQueryTightness) {
@@ -155,8 +156,8 @@ TEST(WorstCase, ChainQueryTightness) {
   stats.push_back(Stat(0, var("X1") | var("X2"), 1.0, 8.0));
   stats.push_back(Stat(var("X2"), var("X3"), 2.0, 3.0));
   stats.push_back(Stat(var("X3"), var("X4"), kInfNorm, 2.0));
-  auto bound = NormalPolymatroidBound(q.num_vars(), stats);
-  ASSERT_TRUE(bound.base.ok());
+  auto bound = ComputeBound("normal", q.num_vars(), stats);
+  ASSERT_TRUE(bound.ok());
   WorstCaseInstance wc = BuildWorstCaseDatabase(q, bound.alpha);
   // Feasibility of the witness database.
   for (const auto& s : stats) {
@@ -169,7 +170,7 @@ TEST(WorstCase, ChainQueryTightness) {
   }
   const double count = static_cast<double>(CountJoin(q, wc.database));
   ASSERT_GT(count, 0.0);
-  EXPECT_GE(std::log2(count), bound.base.log2_bound - 4.0);
+  EXPECT_GE(std::log2(count), bound.log2_bound - 4.0);
 }
 
 TEST(WorstCase, AmplifiedStatisticsShrinkRelativeRoundingLoss) {
@@ -182,20 +183,59 @@ TEST(WorstCase, AmplifiedStatisticsShrinkRelativeRoundingLoss) {
         Stat(0b010, 0b001, 2.0, 1.3 * k),
         Stat(0b010, 0b100, 2.0, 1.1 * k),
     };
-    auto bound = NormalPolymatroidBound(q.num_vars(), stats);
-    ASSERT_TRUE(bound.base.ok());
+    auto bound = ComputeBound("normal", q.num_vars(), stats);
+    ASSERT_TRUE(bound.ok());
     WorstCaseInstance wc = BuildWorstCaseDatabase(q, bound.alpha);
     const double count = static_cast<double>(CountJoin(q, wc.database));
     ASSERT_GT(count, 0.0);
-    const double gap = bound.base.log2_bound - std::log2(count);
+    const double gap = bound.log2_bound - std::log2(count);
     EXPECT_GE(gap, -1e-9);  // the database never exceeds the bound
     // Each of the <= 2 step coefficients loses < 1 bit to ⌊2^α⌋ rounding.
     EXPECT_LE(gap, 2.0);
-    const double relative = gap / bound.base.log2_bound;
+    const double relative = gap / bound.log2_bound;
     EXPECT_LE(relative, prev_relative + 1e-9) << "k=" << k;
     prev_relative = relative;
   }
   EXPECT_LT(prev_relative, 0.1);
+}
+
+TEST(WorstCase, CompiledAlphaBuildsLemma62Database) {
+  // α* read straight off a compiled normal-engine Evaluate feeds Lemma 6.2:
+  // 2^{h*(X) - c} <= |Q(D)| <= 2^{h*(X)}, c = #nonzero α*_W (each step
+  // loses < 1 bit to ⌊2^α⌋ rounding; D satisfies the statistics, so the
+  // bound caps it). Statistics are random, simple and atom-guarded.
+  Rng rng(62);
+  const double norms[] = {1.0, 2.0, 3.0, kInfNorm};
+  for (const char* text : {"R(X,Y), S(Y,Z)", "R(X,Y), S(Y,Z), T(Z,X)",
+                           "R(X1,X2), S(X2,X3), T(X3,X4)"}) {
+    const Query q = *ParseQuery(text);
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<ConcreteStatistic> stats;
+      for (const Atom& atom : q.atoms()) {
+        const VarSet vars = atom.var_set();
+        stats.push_back(Stat(0, vars, 1.0, 3.0 + 5.0 * rng.NextDouble()));
+        for (int u : VarRange(vars)) {
+          stats.push_back(Stat(VarBit(u), vars & ~VarBit(u),
+                               norms[rng.Uniform(4)],
+                               1.0 + 3.0 * rng.NextDouble()));
+        }
+      }
+      const std::string context = std::string(text) + " trial " +
+                                  std::to_string(trial);
+      auto compiled =
+          FindBoundEngine("normal")->Compile(StructureOf(q.num_vars(), stats));
+      const BoundResult bound = compiled->Evaluate(ValuesOf(stats));
+      ASSERT_TRUE(bound.ok()) << context;
+      int steps = 0;
+      for (double a : bound.alpha) steps += a > 1e-9 ? 1 : 0;
+      WorstCaseInstance wc = BuildWorstCaseDatabase(q, bound.alpha);
+      const uint64_t count = CountJoin(q, wc.database);
+      ASSERT_GT(count, 0u) << context;
+      const double log2_count = std::log2(static_cast<double>(count));
+      EXPECT_GE(log2_count, bound.log2_bound - steps - 1e-6) << context;
+      EXPECT_LE(log2_count, bound.log2_bound + 1e-6) << context;
+    }
+  }
 }
 
 TEST(WorstCase, ProductDatabaseIsAsymptoticallyWorse) {
