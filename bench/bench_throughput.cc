@@ -72,7 +72,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_common.h"
 #include "bounds/bound_engine.h"
 #include "datagen/gamma_stats.h"
 #include "datagen/job_gen.h"
@@ -157,9 +156,9 @@ struct RegimeRun {
   // is the Forrest–Tomlin acceptance metric — FT carries 64 updates plus a
   // fill budget between refactorizations.
   uint64_t pivots = 0, refactorizations = 0;
-  // Per-kernel call/cycle table (lp/kernels.h), collected in ONE extra
-  // workload sweep with cycle timing on — the timed measurement above runs
-  // with timing off, so the rdtsc pairs never skew the gated est/s.
+  // Per-kernel call/cycle table (lp/kernels.h) from CollectKernelTable's
+  // timing-on sweeps — the timed measurement runs with timing off, so the
+  // rdtsc pairs never skew the gated est/s.
   unsigned long long kernel_calls[kNumLpKernels] = {};
   unsigned long long kernel_cycles[kNumLpKernels] = {};
 };
@@ -172,14 +171,17 @@ struct RegimeRun {
 // what the stricter per-kernel call-count gate relies on.)
 constexpr int kKernelTableSweeps = 16;
 
-// Runs `sweep` kKernelTableSweeps times with kernel cycle timing enabled
-// and stores the thread-local counter deltas in `run`. The timed regime
-// measurement runs with timing off; this extra pass is the only place the
-// rdtsc pairs execute, so they never skew the gated est/s. Calls are
-// deterministic per sweep; cycles are machine-dependent but their shares
+// Runs `sweep` once untabled (the first evaluation after a compile caches
+// each structure's witness duals, a one-time cost), then kKernelTableSweeps
+// times with kernel cycle timing enabled, and stores the thread-local
+// counter deltas in `run`. Callers run it right after compiling, before the
+// time-boxed measurement: afterwards, the basis and Forrest–Tomlin state it
+// starts from would depend on how many sweeps the time box allowed, and so
+// would the call counts. Cycles are machine-dependent but their shares
 // within one regime are what the gate compares.
 template <typename SweepFn>
 void CollectKernelTable(RegimeRun& run, const SweepFn& sweep) {
+  sweep();
   SetLpKernelCycleTiming(true);
   const LpKernelCounters base = g_lp_kernel_counters;
   for (int s = 0; s < kKernelTableSweeps; ++s) sweep();
@@ -208,6 +210,12 @@ RegimeRun MeasureWarm(const char* label, int repeats,
   CardinalityAdvisor advisor(wl.catalog);
   const size_t m = wl.queries.size();
   for (const Query& q : wl.queries) advisor.EstimateLog2(q);  // compile
+  RegimeRun run;
+  CollectKernelTable(run, [&] {
+    for (size_t i = 0; i < m; ++i) {
+      benchmark::DoNotOptimize(advisor.EstimateLog2(wl.queries[i]));
+    }
+  });
 
   const AdvisorMetrics before = advisor.metrics();
   int sweeps = 0;
@@ -226,16 +234,10 @@ RegimeRun MeasureWarm(const char* label, int repeats,
     secs = Seconds(t0);
   } while (sweeps < repeats || secs < kMinMeasureSeconds);
   const AdvisorMetrics after = advisor.metrics();
-  RegimeRun run;
   run.label = label;
   run.repeats = sweeps;
   run.est_per_s = static_cast<double>(sweeps) * m / secs;
   FillLpWork(run, before, after);
-  CollectKernelTable(run, [&] {
-    for (size_t i = 0; i < m; ++i) {
-      benchmark::DoNotOptimize(advisor.EstimateLog2(wl.queries[i]));
-    }
-  });
   return run;
 }
 
@@ -268,6 +270,14 @@ RegimeRun MeasureBatch(const char* label, int repeats,
       batches[i].push_back(std::move(values));
     }
   }
+  RegimeRun run;
+  CollectKernelTable(run, [&] {
+    for (size_t i = 0; i < m; ++i) {
+      const std::vector<double> ests =
+          advisor.EstimateLog2Batch(wl.queries[i], batches[i]);
+      benchmark::DoNotOptimize(ests.data());
+    }
+  });
 
   const AdvisorMetrics before = advisor.metrics();
   int sweeps = 0;
@@ -288,19 +298,11 @@ RegimeRun MeasureBatch(const char* label, int repeats,
     secs = Seconds(t0);
   } while (sweeps < repeats || secs < kMinMeasureSeconds);
   const AdvisorMetrics after = advisor.metrics();
-  RegimeRun run;
   run.label = label;
   run.batch_size = kBatchSize;
   run.repeats = sweeps;
   run.est_per_s = static_cast<double>(sweeps) * m * kBatchSize / secs;
   FillLpWork(run, before, after);
-  CollectKernelTable(run, [&] {
-    for (size_t i = 0; i < m; ++i) {
-      const std::vector<double> ests =
-          advisor.EstimateLog2Batch(wl.queries[i], batches[i]);
-      benchmark::DoNotOptimize(ests.data());
-    }
-  });
   return run;
 }
 
@@ -904,7 +906,9 @@ void PrintTable() {
   for (const RegimeRun& run : warm_runs) PrintCounters(run);
   for (const RegimeRun& run : batch_runs) PrintCounters(run);
   for (const RegimeRun& run : jitter_runs) PrintCounters(run);
-  std::printf("-- per-kernel calls/cycles-per-call (one timing-on sweep) --\n");
+  std::printf("-- per-kernel calls/cycles-per-call (%d timing-on sweeps "
+              "after compile) --\n",
+              kKernelTableSweeps);
   for (const auto* runs : {&warm_runs, &batch_runs, &jitter_runs}) {
     for (const RegimeRun& run : *runs) PrintKernelTable(run);
   }

@@ -22,6 +22,12 @@ std::vector<double> AtomLogSizes(const Query& query, const Catalog& catalog) {
 AgmResult AgmBound(const Query& query, const std::vector<double>& log_sizes) {
   const int m = query.num_atoms();
   assert(static_cast<int>(log_sizes.size()) == m);
+  // An empty relation (log size -inf) empties the output, and the cover LP
+  // cannot take an infinite cost. Answer as the bound engines answer
+  // infeasible statistics: log2 1 = 0, with no cover.
+  for (double log_size : log_sizes) {
+    if (log_size == -kInfNorm) return AgmResult();
+  }
   // minimize Σ x_j log|R_j|  ==  maximize Σ x_j (-log|R_j|).
   LpProblem lp(m);
   for (int j = 0; j < m; ++j) lp.SetObjective(j, -log_sizes[j]);

@@ -24,7 +24,8 @@ struct AgmResult {
 // log2 cardinalities per atom (deduplicated projections onto atom vars).
 std::vector<double> AtomLogSizes(const Query& query, const Catalog& catalog);
 
-// AGM bound from explicit per-atom log2 sizes.
+// AGM bound from explicit per-atom log2 sizes. A size of 0 (log2 -inf)
+// yields the bound 0 and an empty cover.
 AgmResult AgmBound(const Query& query, const std::vector<double>& log_sizes);
 
 // AGM bound measured from a database instance.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstring>
 #include <optional>
 #include <set>
@@ -54,9 +55,40 @@ std::string StructureKey(const BoundStructure& structure) {
   return key;
 }
 
+namespace {
+
+// The result for a value column no engine may see, or nullopt for a
+// well-formed one. A NaN or +inf value, or a column of the wrong size,
+// cannot be priced: the default failed BoundResult (+inf). A -inf value is
+// the log2 of an empty degree sequence, so its relation and the output are
+// empty; its row h(..) <= -inf makes the LP infeasible, and the column
+// reads as the kInfeasible (bound 0.0) a cold solve returns. Rejecting the
+// column here keeps it out of the cached basis: a NaN priced against the
+// witness, or pivoted on by a warm re-solve, would poison every later
+// evaluation of this CompiledBound.
+std::optional<BoundResult> RejectColumn(const std::vector<double>& log_b,
+                                        size_t num_shapes) {
+  if (log_b.size() != num_shapes) return BoundResult();
+  bool empty = false;
+  for (double v : log_b) {
+    if (std::isnan(v) || v == kInfNorm) return BoundResult();
+    if (v == -kInfNorm) empty = true;
+  }
+  if (!empty) return std::nullopt;
+  BoundResult result;
+  result.status = LpStatus::kInfeasible;
+  result.log2_bound = 0.0;
+  return result;
+}
+
+}  // namespace
+
 BoundResult CompiledBound::Evaluate(const std::vector<double>& log_b,
                                     bool want_h_opt) {
-  assert(log_b.size() == structure_.shapes.size());
+  if (std::optional<BoundResult> rejected =
+          RejectColumn(log_b, structure_.shapes.size())) {
+    return *rejected;
+  }
   BoundResult result = EvaluateImpl(log_b, want_h_opt);
   Record(result);
   return result;
@@ -64,14 +96,37 @@ BoundResult CompiledBound::Evaluate(const std::vector<double>& log_b,
 
 std::vector<BoundResult> CompiledBound::EvaluateBatch(
     std::span<const std::vector<double>> log_b_batch, bool want_h_opt) {
-#ifndef NDEBUG
-  for (const std::vector<double>& log_b : log_b_batch) {
-    assert(log_b.size() == structure_.shapes.size());
+  const size_t num_shapes = structure_.shapes.size();
+  std::vector<size_t> valid;
+  valid.reserve(log_b_batch.size());
+  for (size_t c = 0; c < log_b_batch.size(); ++c) {
+    if (!RejectColumn(log_b_batch[c], num_shapes)) valid.push_back(c);
   }
-#endif
-  std::vector<BoundResult> results = EvaluateBatchImpl(log_b_batch, want_h_opt);
+  std::vector<BoundResult> results;
+  if (valid.size() == log_b_batch.size()) {
+    results = EvaluateBatchImpl(log_b_batch, want_h_opt);
+  } else {
+    // Rejected columns are answered here; the rest ride the engine's
+    // batch path in order, exactly as if the rejected ones were absent.
+    results.resize(log_b_batch.size());
+    std::vector<std::vector<double>> valid_batch;
+    valid_batch.reserve(valid.size());
+    for (size_t c = 0, k = 0; c < log_b_batch.size(); ++c) {
+      if (k < valid.size() && valid[k] == c) {
+        valid_batch.push_back(log_b_batch[c]);
+        ++k;
+      } else {
+        results[c] = *RejectColumn(log_b_batch[c], num_shapes);
+      }
+    }
+    std::vector<BoundResult> evaluated =
+        EvaluateBatchImpl(valid_batch, want_h_opt);
+    for (size_t k = 0; k < valid.size(); ++k) {
+      results[valid[k]] = std::move(evaluated[k]);
+    }
+  }
   assert(results.size() == log_b_batch.size());
-  for (const BoundResult& result : results) Record(result);
+  for (size_t c : valid) Record(results[c]);
   return results;
 }
 

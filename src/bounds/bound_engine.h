@@ -167,6 +167,11 @@ class CompiledBound {
   // Evaluates the bound at the given statistic values (aligned with
   // structure().shapes). `want_h_opt` materializes the optimal polymatroid
   // h* in the result — an O(2^n) copy that pure estimation loops skip.
+  // Malformed values never reach the engine or its cached basis: a NaN or
+  // +inf value, or a vector of the wrong size, yields the default failed
+  // result (+inf); a -inf value (an empty degree sequence) yields
+  // kInfeasible with bound 0.0, what a cold solve returns. Such a
+  // rejected column is not counted in counters().
   BoundResult Evaluate(const std::vector<double>& log_b,
                        bool want_h_opt = true);
 
@@ -184,7 +189,8 @@ class CompiledBound {
   // sequence to floating-point tolerance (both converge the same cut
   // family) rather than bitwise. `want_h_opt` defaults to *false* here,
   // unlike Evaluate: batched callers are optimizer probe loops that only
-  // want the bound values.
+  // want the bound values. Malformed columns are rejected as in Evaluate,
+  // and the remaining columns evaluate as if they were absent.
   std::vector<BoundResult> EvaluateBatch(
       std::span<const std::vector<double>> log_b_batch,
       bool want_h_opt = false);

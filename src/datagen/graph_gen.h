@@ -31,7 +31,8 @@ struct GraphSpec {
 // exist (the generator retries duplicates up to a cap).
 Relation GeneratePowerLawGraph(const GraphSpec& spec);
 
-// The seven SNAP stand-ins used by bench_triangle / bench_onejoin, sized
+// The seven SNAP stand-ins of the triangle and one-join rows of
+// tests/test_accuracy.cc (which scales the large ones down further), sized
 // and skewed to mimic (scaled-down versions of) the paper's datasets:
 // ca-GrQc, ca-HepTh, facebook, soc-Epinions, soc-LiveJournal, soc-pokec,
 // twitter.

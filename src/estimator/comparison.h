@@ -1,7 +1,8 @@
 // One-call comparison facade: runs every estimator / bound in the library
 // on a query and reports them side by side (the rows of the paper's
-// experiment tables). Used by the benches and the examples, and handy as a
-// debugging dashboard for users.
+// experiment tables). tests/test_accuracy.cc runs every row of its
+// accuracy regime through it, examples/csv_estimator.cpp prints it, and it
+// is handy as a debugging dashboard for users.
 #ifndef LPB_ESTIMATOR_COMPARISON_H_
 #define LPB_ESTIMATOR_COMPARISON_H_
 

@@ -4,8 +4,8 @@
 // where a, b are the degree sequences deg_R(X|Y) and deg_S(Z|Y) sorted in
 // non-increasing order. Tight for Berge-acyclic queries; Appendix C.3
 // contrasts it with the ℓp polymatroid bound (which can be a factor
-// Θ(M^{1/9}) larger on the (0,1/3)/(0,2/3) instance, reproduced in
-// bench_dsb_gap).
+// Θ(M^{1/9}) larger on the (0,1/3)/(0,2/3) instance, reproduced by the
+// dsb_gap rows of tests/test_accuracy.cc).
 #ifndef LPB_ESTIMATOR_DSB_H_
 #define LPB_ESTIMATOR_DSB_H_
 

@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bounds/bound_engine.h"
@@ -327,6 +329,92 @@ TEST(EvaluateBatch, UnboundedStructureShortCircuitsMidBatch) {
   }
 }
 
+// What a malformed value column must read as: NaN and +inf cannot be
+// priced (the default failed result, +inf), -inf is the log2 of an empty
+// degree sequence and reads as the infeasible-statistics bound 0.0 (the
+// output is empty), and a mis-sized column cannot be priced either.
+void ExpectRejected(const BoundResult& result, double bad_value,
+                    const std::string& context) {
+  EXPECT_FALSE(std::isnan(result.log2_bound)) << context;
+  if (bad_value == -kInfNorm) {
+    EXPECT_EQ(result.status, LpStatus::kInfeasible) << context;
+    EXPECT_EQ(result.log2_bound, 0.0) << context;
+  } else {
+    EXPECT_FALSE(result.ok()) << context;
+    EXPECT_EQ(result.log2_bound, kInfNorm) << context;
+  }
+}
+
+TEST(EvaluateBatch, NonFiniteValuesNeverPoisonTheCachedBasis) {
+  // A NaN or infinite statistic value must never reach the cached basis:
+  // a witness re-pricing or warm re-solve would write it into the tableau,
+  // and that column and every later evaluation of the real values would
+  // read NaN. Each bad column is rejected before any engine sees it, so
+  // the results after it are bitwise those before it, in the scalar
+  // sequence and inside a batch.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& stats : {SimpleStats(), NonSimpleStats()}) {
+    const BoundStructure structure = StructureOf(3, stats);
+    const std::vector<double> real = ValuesOf(stats);
+    for (std::string_view name : BoundEngineNames()) {
+      const BoundEngine* engine = FindBoundEngine(name);
+      if (!engine->Supports(structure)) continue;
+      for (double bad_value : {nan, kInfNorm, -kInfNorm}) {
+        for (size_t slot : {size_t{0}, stats.size() - 1}) {
+          const std::string context =
+              std::string(name) + " value " + std::to_string(bad_value) +
+              " slot " + std::to_string(slot) + " of " +
+              std::to_string(stats.size());
+          std::vector<double> bad = real;
+          bad[slot] = bad_value;
+          const std::vector<double> short_column(real.begin(),
+                                                 real.end() - 1);
+
+          // Scalar: after two warm-up evaluations (a solve, then a
+          // witness read that caches its duals) the real values are served
+          // by the cached witness, before and after the bad column.
+          auto scalar = engine->Compile(structure);
+          scalar->Evaluate(real, false);
+          scalar->Evaluate(real, false);
+          const BoundResult before = scalar->Evaluate(real, false);
+          ASSERT_TRUE(before.ok()) << context;
+          ExpectRejected(scalar->Evaluate(bad, false), bad_value, context);
+          ExpectRejected(scalar->Evaluate(short_column, false), nan,
+                         context + " short column");
+          ExpectBitwiseEqual(scalar->Evaluate(real, false), before,
+                             context + " scalar after");
+          // A rejected column runs no LP, so it is not an evaluation.
+          EXPECT_EQ(scalar->counters().evaluations, 4u) << context;
+
+          // Batch: the bad and mis-sized columns sit between real ones.
+          auto batched = engine->Compile(structure);
+          batched->Evaluate(real, false);
+          batched->Evaluate(real, false);
+          const std::vector<std::vector<double>> batch = {
+              real, bad, real, short_column, real};
+          const std::vector<BoundResult> results =
+              batched->EvaluateBatch(batch, false);
+          ASSERT_EQ(results.size(), batch.size()) << context;
+          ExpectBitwiseEqual(results[0], before, context + " batch 0");
+          ExpectRejected(results[1], bad_value, context + " batch 1");
+          ExpectBitwiseEqual(results[2], before, context + " batch 2");
+          ExpectRejected(results[3], nan, context + " batch 3");
+          ExpectBitwiseEqual(results[4], before, context + " batch 4");
+          ExpectBitwiseEqual(batched->Evaluate(real, false), before,
+                             context + " scalar after batch");
+
+          // A one-shot bound on the bad values agrees with the compiled
+          // path: the check sits in Evaluate, which ComputeBound runs.
+          std::vector<ConcreteStatistic> bad_stats = stats;
+          bad_stats[slot].log_b = bad_value;
+          ExpectRejected(ComputeBound(name, 3, bad_stats), bad_value,
+                         context + " one-shot");
+        }
+      }
+    }
+  }
+}
+
 TEST(ResolveWithRhsBatch, MatchesScalarCascade) {
   Rng rng(1234);
   for (int trial = 0; trial < 20; ++trial) {
@@ -469,6 +557,37 @@ TEST(AdvisorBatch, WhatIfValueBatchMatchesCompiledScalar) {
   ASSERT_EQ(got.size(), expected.size());
   for (size_t c = 0; c < expected.size(); ++c) {
     EXPECT_EQ(got[c], expected[c]) << "column " << c;
+  }
+}
+
+TEST(AdvisorBatch, NonFiniteWhatIfValuesNeverPoisonLaterEstimates) {
+  // The advisor's what-if batch hands caller-built value vectors straight
+  // to the shared compiled bound. A NaN or infinite value in one vector
+  // must not change what the advisor answers for the real statistics,
+  // in that batch or in any later call.
+  Catalog db = SmallDb(3);
+  const Query q = Parse("R(X,Y), S(Y,Z)");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double bad_value : {nan, kInfNorm, -kInfNorm}) {
+    CardinalityAdvisor advisor(db);
+    const double estimate = advisor.EstimateLog2(q);
+    ASSERT_TRUE(std::isfinite(estimate));
+    const std::vector<double> real = ValuesOf(advisor.Explain(q).stats);
+    for (size_t slot = 0; slot < real.size(); ++slot) {
+      const std::string context = "value " + std::to_string(bad_value) +
+                                  " slot " + std::to_string(slot);
+      std::vector<double> bad = real;
+      bad[slot] = bad_value;
+      const std::vector<std::vector<double>> block = {real, bad, real};
+      const std::vector<double> got = advisor.EstimateLog2Batch(q, block);
+      ASSERT_EQ(got.size(), 3u);
+      EXPECT_EQ(got[0], estimate) << context;
+      EXPECT_EQ(got[1], bad_value == -kInfNorm ? 0.0 : kInfNorm) << context;
+      EXPECT_EQ(got[2], estimate) << context;
+      EXPECT_EQ(advisor.EstimateLog2(q), estimate) << context;
+      EXPECT_EQ(advisor.EstimateLog2Batch(std::vector<Query>{q})[0], estimate)
+          << context;
+    }
   }
 }
 

@@ -28,7 +28,8 @@ std::vector<ConcreteStatistic> TriangleStats(double log_b) {
           Stat(0, 0b101, 1.0, log_b)};
 }
 
-// Simple statistics for a path query over n variables, as in bench_engine.
+// Simple statistics for a path query over n variables: per edge a
+// cardinality, both ℓ2 degree norms and one ℓ∞ degree norm.
 std::vector<ConcreteStatistic> PathStats(int n) {
   std::vector<ConcreteStatistic> stats;
   for (int i = 0; i + 1 < n; ++i) {

@@ -215,23 +215,6 @@ TEST(Comparison, TraditionalVsBoundsOnJobQuery) {
   EXPECT_LT(bound.log2_bound, agm.log2_bound);
 }
 
-TEST(Comparison, JobQueriesSoundAcrossTheWorkload) {
-  JobWorkloadOptions opt;
-  opt.scale = 0.05;
-  JobWorkload wl = GenerateJobWorkload(opt);
-  CollectorOptions copt;
-  copt.norms = {1.0, 2.0, 3.0, kInfNorm};
-  // A representative slice (full sweep lives in bench_job).
-  for (int idx : {0, 2, 4, 7, 16, 30, 31}) {
-    const Query& q = wl.queries[idx];
-    const uint64_t truth = CountJoin(q, wl.catalog);
-    auto stats = CollectStatistics(q, wl.catalog, copt);
-    auto bound = ComputeBound("auto", q.num_vars(), stats);
-    ASSERT_TRUE(bound.ok()) << q.name();
-    EXPECT_GE(bound.log2_bound, Log2Count(truth) - 1e-6) << q.name();
-  }
-}
-
 TEST(Soundness, LoomisWhitneyTernaryAtoms) {
   // Higher-arity atoms (App. C.6): the LW4 query with pair conditionals
   // needs the Γn engine (non-simple statistics).
