@@ -97,36 +97,35 @@ BoundResult CompiledBound::Evaluate(const std::vector<double>& log_b,
 std::vector<BoundResult> CompiledBound::EvaluateBatch(
     std::span<const std::vector<double>> log_b_batch, bool want_h_opt) {
   const size_t num_shapes = structure_.shapes.size();
-  std::vector<size_t> valid;
-  valid.reserve(log_b_batch.size());
-  for (size_t c = 0; c < log_b_batch.size(); ++c) {
-    if (!RejectColumn(log_b_batch[c], num_shapes)) valid.push_back(c);
-  }
   std::vector<BoundResult> results;
-  if (valid.size() == log_b_batch.size()) {
+  if (std::none_of(log_b_batch.begin(), log_b_batch.end(),
+                   [&](const std::vector<double>& log_b) {
+                     return RejectColumn(log_b, num_shapes).has_value();
+                   })) {
     results = EvaluateBatchImpl(log_b_batch, want_h_opt);
-  } else {
-    // Rejected columns are answered here; the rest ride the engine's
-    // batch path in order, exactly as if the rejected ones were absent.
-    results.resize(log_b_batch.size());
-    std::vector<std::vector<double>> valid_batch;
-    valid_batch.reserve(valid.size());
-    for (size_t c = 0, k = 0; c < log_b_batch.size(); ++c) {
-      if (k < valid.size() && valid[k] == c) {
-        valid_batch.push_back(log_b_batch[c]);
-        ++k;
-      } else {
-        results[c] = *RejectColumn(log_b_batch[c], num_shapes);
-      }
-    }
-    std::vector<BoundResult> evaluated =
-        EvaluateBatchImpl(valid_batch, want_h_opt);
-    for (size_t k = 0; k < valid.size(); ++k) {
-      results[valid[k]] = std::move(evaluated[k]);
+    for (const BoundResult& result : results) Record(result);
+    return results;
+  }
+  // Rejected columns are answered here; the rest ride the engine's batch
+  // path in order, exactly as if the rejected ones were absent.
+  results.resize(log_b_batch.size());
+  std::vector<size_t> valid;
+  std::vector<std::vector<double>> valid_batch;
+  for (size_t c = 0; c < log_b_batch.size(); ++c) {
+    if (std::optional<BoundResult> rejected =
+            RejectColumn(log_b_batch[c], num_shapes)) {
+      results[c] = std::move(*rejected);
+    } else {
+      valid.push_back(c);
+      valid_batch.push_back(log_b_batch[c]);
     }
   }
-  assert(results.size() == log_b_batch.size());
-  for (size_t c : valid) Record(results[c]);
+  std::vector<BoundResult> evaluated =
+      EvaluateBatchImpl(valid_batch, want_h_opt);
+  for (size_t k = 0; k < valid.size(); ++k) {
+    Record(evaluated[k]);
+    results[valid[k]] = std::move(evaluated[k]);
+  }
   return results;
 }
 
@@ -244,13 +243,15 @@ std::vector<BoundResult> BatchThroughTableau(
     std::span<const std::vector<double>> batch, SimplexTableau& tableau,
     bool& structurally_unbounded, BatchScratch& scratch,
     const FillRhs& fill_rhs, const Finalize& finalize) {
-  std::vector<BoundResult> out(batch.size());
+  std::vector<BoundResult> out;  // filled in column order
+  out.reserve(batch.size());
   std::vector<std::vector<double>>& run = scratch.run;
   std::vector<LpResult>& lps = scratch.lps;
   size_t i = 0;
   while (i < batch.size()) {
     if (structurally_unbounded && AllNonNegative(batch[i])) {
-      out[i++] = StructurallyUnboundedResult();
+      out.push_back(StructurallyUnboundedResult());
+      ++i;
       continue;
     }
     size_t run_size = 0;
@@ -267,11 +268,11 @@ std::vector<BoundResult> BatchThroughTableau(
     bool flipped_mid_run = false;
     for (size_t k = 0; k < lps.size(); ++k) {
       if (flipped_mid_run && AllNonNegative(batch[i + k])) {
-        out[i + k] = StructurallyUnboundedResult();
+        out.push_back(StructurallyUnboundedResult());
         continue;
       }
-      out[i + k] = finalize(lps[k]);
-      if (out[i + k].unbounded() && !structurally_unbounded) {
+      out.push_back(finalize(lps[k]));
+      if (out.back().unbounded() && !structurally_unbounded) {
         structurally_unbounded = true;
         flipped_mid_run = true;
       }

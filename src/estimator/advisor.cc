@@ -1,7 +1,7 @@
 #include "estimator/advisor.h"
 
-#include <cassert>
 #include <cmath>
+#include <cstring>
 #include <utility>
 
 namespace lpb {
@@ -16,6 +16,7 @@ int ColumnOfVar(const Atom& atom, int v) {
 
 std::vector<int> ColumnsOf(const Atom& atom, VarSet s) {
   std::vector<int> cols;
+  cols.reserve(SetSize(s));
   for (int v : VarRange(s)) cols.push_back(ColumnOfVar(atom, v));
   return cols;
 }
@@ -23,8 +24,7 @@ std::vector<int> ColumnsOf(const Atom& atom, VarSet s) {
 // One degree-sequence lookup a query's statistics assembly needs: the
 // norm-store key plus how its cached norms materialize into statistics
 // (every maintained norm for a conditional, one ℓ1 statistic for a
-// cardinality assertion). The scalar and batched assembly paths share
-// this enumeration, which is what makes their outputs bitwise identical.
+// cardinality assertion).
 struct StatRequest {
   ShardedNormCache::Key key;
   Conditional sigma;
@@ -32,8 +32,9 @@ struct StatRequest {
   int guard_atom = -1;
 };
 
-std::vector<StatRequest> EnumerateStatRequests(const Query& query) {
-  std::vector<StatRequest> requests;
+// Appends the query's lookups to `requests`, in statistics order.
+void AppendStatRequests(const Query& query,
+                        std::vector<StatRequest>& requests) {
   for (int a = 0; a < query.num_atoms(); ++a) {
     const Atom& atom = query.atom(a);
     const VarSet atom_vars = atom.var_set();
@@ -60,7 +61,6 @@ std::vector<StatRequest> EnumerateStatRequests(const Query& query) {
       requests.push_back(std::move(r));
     }
   }
-  return requests;
 }
 
 // The maintained norm a cardinality assertion reads. deg(V|∅) has exactly
@@ -97,6 +97,41 @@ void AppendStats(const StatRequest& request,
   }
 }
 
+// Hash of a norm-store key, for deduplicating a batch's requests.
+size_t KeyHash(const ShardedNormCache::Key& key) {
+  size_t h = std::hash<std::string>{}(std::get<0>(key));
+  for (int c : std::get<1>(key)) h = h * 31 + static_cast<size_t>(c);
+  h = h * 31 + 0x9e3779b9u;  // separates the U and V column lists
+  for (int c : std::get<2>(key)) h = h * 31 + static_cast<size_t>(c);
+  return h;
+}
+
+// Numbers the distinct values of indices 0..n-1 (defined by `hash(i)` and
+// `equal(a, b)`) in order of first appearance, in one pass over an
+// open-addressing table of (hash, first index).
+template <typename Hash, typename Equal>
+std::vector<size_t> DistinctIds(size_t n, const Hash& hash,
+                                const Equal& equal) {
+  constexpr size_t kEmpty = ~size_t{0};
+  size_t mask = 1;
+  while (mask < 2 * n) mask <<= 1;
+  --mask;
+  std::vector<std::pair<size_t, size_t>> table(mask + 1, {0, kEmpty});
+  std::vector<size_t> ids(n);
+  size_t next = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t h = hash(i);
+    size_t s = h & mask;
+    while (table[s].second != kEmpty &&
+           !(table[s].first == h && equal(table[s].second, i))) {
+      s = (s + 1) & mask;
+    }
+    if (table[s].second == kEmpty) table[s] = {h, i};
+    ids[i] = table[s].second == i ? next++ : ids[table[s].second];
+  }
+  return ids;
+}
+
 }  // namespace
 
 CardinalityAdvisor::CardinalityAdvisor(const Catalog& catalog,
@@ -106,67 +141,68 @@ CardinalityAdvisor::CardinalityAdvisor(const Catalog& catalog,
       norms_(options_.norm_cache),
       compiled_(std::make_shared<const CompiledMap>()) {}
 
-std::vector<double> CardinalityAdvisor::CachedNorms(
-    const std::string& relation, const std::vector<int>& u_cols,
-    const std::vector<int>& v_cols) {
-  ShardedNormCache::Key key{relation, u_cols, v_cols};
-  ShardedNormCache::Lookup lookup = norms_.Get(key);
-  if (lookup.found) return std::move(lookup.norms);
-  // Compute outside the shard lock: degree-sequence extraction sorts the
-  // whole relation (a packed-key radix sort, or a comparator sort past 64
-  // key bits) and must not serialize concurrent estimators. A racing
-  // thread may compute the same entry; both arrive at identical values, so
-  // last-write-wins is harmless. Put refuses the insert if an Invalidate
-  // ran meanwhile (the norms may reflect pre-update data — serve them for
-  // this call but do not cache).
-  const DegreeSequence deg =
-      ComputeDegreeSequence(catalog_.Get(relation), u_cols, v_cols);
-  std::vector<double> norms;
-  norms.reserve(options_.norms.size());
-  for (double p : options_.norms) norms.push_back(deg.Log2NormP(p));
-  norms_.Put(key, norms, lookup.generation);
-  return norms;
-}
-
-std::vector<ConcreteStatistic> CardinalityAdvisor::AssembleStatistics(
-    const Query& query) {
-  std::vector<ConcreteStatistic> stats;
-  for (const StatRequest& request : EnumerateStatRequests(query)) {
-    const std::vector<double> norms =
-        CachedNorms(std::get<0>(request.key), std::get<1>(request.key),
-                    std::get<2>(request.key));
-    AppendStats(request, norms, options_.norms, stats);
+size_t CardinalityAdvisor::StructureKeyHash::operator()(
+    const std::string& key) const {
+  // Four independent multiply lanes over 8-byte words: ~3x faster than
+  // std::hash's one dependent chain, paid per query (grouping) and per
+  // group (compiled-cache lookup).
+  constexpr uint64_t kMul = 0x9E3779B97F4A7C15ULL;
+  const auto word = [&](size_t i) {
+    uint64_t w;
+    std::memcpy(&w, key.data() + i, sizeof w);
+    return w;
+  };
+  uint64_t lane[4] = {1, 2, 3, 4};
+  size_t i = 0;
+  for (; i + 32 <= key.size(); i += 32) {
+    lane[0] = (lane[0] ^ word(i)) * kMul;
+    lane[1] = (lane[1] ^ word(i + 8)) * kMul;
+    lane[2] = (lane[2] ^ word(i + 16)) * kMul;
+    lane[3] = (lane[3] ^ word(i + 24)) * kMul;
   }
-  return stats;
+  uint64_t h = key.size();
+  for (; i + 8 <= key.size(); i += 8) h = (h ^ word(i)) * kMul;
+  for (; i < key.size(); ++i) {
+    h = (h ^ static_cast<unsigned char>(key[i])) * kMul;
+  }
+  for (uint64_t l : lane) h = (h ^ l ^ (l >> 29)) * kMul;
+  return static_cast<size_t>(h ^ (h >> 32));
 }
 
 std::vector<std::vector<ConcreteStatistic>>
 CardinalityAdvisor::AssembleStatisticsBatch(std::span<const Query> queries) {
-  // Enumerate every query's degree-sequence lookups and dedup the keys
-  // across the batch (first-appearance order): under admission batching
-  // the batch mixes a few hot templates, so most requests resolve to a
-  // slot another query already claimed.
-  std::vector<std::vector<StatRequest>> requests(queries.size());
-  std::vector<ShardedNormCache::Key> distinct;
-  std::map<ShardedNormCache::Key, size_t> slot_of;
-  std::vector<std::vector<size_t>> slots(queries.size());
+  // Every query's degree-sequence lookups, flat: query i owns requests
+  // [query_begin[i], query_begin[i + 1]).
+  std::vector<StatRequest> requests;
+  size_t most = 0;  // a cardinality plus at most one conditional per column
+  for (const Query& query : queries) {
+    for (const Atom& atom : query.atoms()) most += 1 + atom.vars.size();
+  }
+  requests.reserve(most);
+  std::vector<size_t> query_begin(queries.size() + 1, 0);
   for (size_t i = 0; i < queries.size(); ++i) {
-    requests[i] = EnumerateStatRequests(queries[i]);
-    slots[i].reserve(requests[i].size());
-    for (const StatRequest& r : requests[i]) {
-      auto [it, inserted] = slot_of.emplace(r.key, distinct.size());
-      if (inserted) distinct.push_back(r.key);
-      slots[i].push_back(it->second);
+    AppendStatRequests(queries[i], requests);
+    query_begin[i + 1] = requests.size();
+  }
+
+  // Dedup the keys (admission batches mix a few hot templates; self-joins
+  // repeat keys): slot[r] is the position of request r's key in
+  // `distinct`, which lists them in first-appearance order.
+  std::vector<size_t> slot = DistinctIds(
+      requests.size(), [&](size_t r) { return KeyHash(requests[r].key); },
+      [&](size_t a, size_t b) { return requests[a].key == requests[b].key; });
+  std::vector<ShardedNormCache::Key> distinct;
+  distinct.reserve(requests.size());
+  for (size_t r = 0; r < requests.size(); ++r) {
+    if (slot[r] == distinct.size()) {
+      distinct.push_back(std::move(requests[r].key));
     }
   }
 
-  // One GetBatch over the distinct keys: each touched store shard's mutex
-  // is taken once for the whole batch (norm_cache.h). Misses are computed
-  // outside any lock — same degree-sequence kernel and the same Log2NormP
-  // sequence as the scalar path — and re-inserted through one PutBatch,
-  // each under the generation its GetBatch observed (a concurrent
-  // Invalidate refuses the stale insert but this batch still serves its
-  // computed values, exactly like the scalar path).
+  // Misses are computed outside any lock (degree-sequence extraction sorts
+  // the whole relation) and land under the generation their lookup saw: a
+  // concurrent Invalidate refuses the stale insert, and this batch still
+  // serves its computed values.
   std::vector<ShardedNormCache::Lookup> lookups = norms_.GetBatch(distinct);
   std::vector<ShardedNormCache::PutItem> puts;
   for (size_t s = 0; s < distinct.size(); ++s) {
@@ -183,8 +219,10 @@ CardinalityAdvisor::AssembleStatisticsBatch(std::span<const Query> queries) {
 
   std::vector<std::vector<ConcreteStatistic>> out(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    for (size_t j = 0; j < requests[i].size(); ++j) {
-      AppendStats(requests[i][j], lookups[slots[i][j]].norms, options_.norms,
+    out[i].reserve((query_begin[i + 1] - query_begin[i]) *
+                   options_.norms.size());
+    for (size_t r = query_begin[i]; r < query_begin[i + 1]; ++r) {
+      AppendStats(requests[r], lookups[slot[r]].norms, options_.norms,
                   out[i]);
     }
   }
@@ -192,8 +230,9 @@ CardinalityAdvisor::AssembleStatisticsBatch(std::span<const Query> queries) {
 }
 
 std::shared_ptr<CardinalityAdvisor::CompiledEntry>
-CardinalityAdvisor::LookupOrCompile(const BoundStructure& structure,
-                                    const std::string& key) {
+CardinalityAdvisor::LookupOrCompile(
+    const std::string& key, int n,
+    const std::vector<ConcreteStatistic>& stats) {
   // Hot path: one atomic load of the immutable snapshot — no lock, so a
   // writer burst (a batch of fresh templates compiling) never serializes
   // concurrent readers of already-compiled structures.
@@ -212,7 +251,7 @@ CardinalityAdvisor::LookupOrCompile(const BoundStructure& structure,
   const BoundEngine* engine = FindBoundEngine(options_.bound_engine);
   if (engine == nullptr) engine = FindBoundEngine("auto");
   auto fresh = std::make_shared<CompiledEntry>();
-  fresh->bound = engine->Compile(structure, options_.engine);
+  fresh->bound = engine->Compile(StructureOf(n, stats), options_.engine);
   std::lock_guard<std::mutex> lock(compiled_writer_mu_);
   std::shared_ptr<const CompiledMap> current =
       compiled_.load(std::memory_order_acquire);
@@ -232,82 +271,98 @@ CardinalityAdvisor::LookupOrCompile(const BoundStructure& structure,
   return pos->second;
 }
 
-void CardinalityAdvisor::RecordEval(const BoundResult& result) {
-  switch (result.eval_path) {
-    case LpEvalPath::kWitness:
-      witness_hits_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case LpEvalPath::kWarm:
-      warm_resolves_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case LpEvalPath::kCold:
-      cold_solves_.fetch_add(1, std::memory_order_relaxed);
-      break;
+std::vector<BoundResult> CardinalityAdvisor::EvaluateGroup(
+    const std::string& key, int n,
+    const std::vector<ConcreteStatistic>& stats,
+    std::span<const std::vector<double>> columns, bool want_h_opt) {
+  if (n == 0) {
+    // The empty conjunction has one (empty) answer tuple: log2 1 = 0. No
+    // bound engine accepts a 0-variable structure, and only a column the
+    // size of its (empty) statistics set can be priced.
+    std::vector<BoundResult> results(columns.size());
+    uint64_t served = 0;
+    for (size_t c = 0; c < columns.size(); ++c) {
+      if (columns[c].size() != stats.size()) continue;
+      results[c].status = LpStatus::kOptimal;
+      results[c].log2_bound = 0.0;
+      ++served;
+    }
+    estimates_.fetch_add(served, std::memory_order_relaxed);
+    return results;
   }
-  const LpSolveStats& stats = result.lp_stats;
-  if (stats.TotalPivots() > 0) {
-    lp_pivots_.fetch_add(static_cast<uint64_t>(stats.TotalPivots()),
-                         std::memory_order_relaxed);
+  std::shared_ptr<CompiledEntry> entry = LookupOrCompile(key, n, stats);
+  std::vector<BoundResult> results;
+  EvalCounters before, after;
+  {
+    // One lock for the whole group (one evaluation sequence, see
+    // CompiledEntry); the counter reads around it see exactly its work.
+    std::lock_guard<std::mutex> lock(entry->mu);
+    before = entry->bound->counters();
+    results = entry->bound->EvaluateBatch(columns, want_h_opt);
+    after = entry->bound->counters();
   }
-  if (stats.refactorizations > 0) {
-    lp_refactorizations_.fetch_add(
-        static_cast<uint64_t>(stats.refactorizations),
-        std::memory_order_relaxed);
+  uint64_t pivots = 0;
+  uint64_t refactorizations = 0;
+  for (const BoundResult& result : results) {
+    pivots += static_cast<uint64_t>(result.lp_stats.TotalPivots());
+    refactorizations +=
+        static_cast<uint64_t>(result.lp_stats.refactorizations);
   }
-  if (stats.ft_updates > 0) {
-    lp_ft_updates_.fetch_add(static_cast<uint64_t>(stats.ft_updates),
-                             std::memory_order_relaxed);
-  }
-  if (stats.devex_resets > 0) {
-    lp_devex_resets_.fetch_add(static_cast<uint64_t>(stats.devex_resets),
-                               std::memory_order_relaxed);
-  }
-  if (stats.warm_cut_rounds > 0) {
-    lp_warm_cut_rounds_.fetch_add(static_cast<uint64_t>(stats.warm_cut_rounds),
-                                  std::memory_order_relaxed);
-  }
-  if (stats.dual_repair_pivots > 0) {
-    lp_dual_repair_pivots_.fetch_add(
-        static_cast<uint64_t>(stats.dual_repair_pivots),
-        std::memory_order_relaxed);
-  }
-  if (stats.row_appends > 0) {
-    lp_row_appends_.fetch_add(static_cast<uint64_t>(stats.row_appends),
-                              std::memory_order_relaxed);
-  }
-  if (stats.append_refactorizations > 0) {
-    lp_append_refactorizations_.fetch_add(
-        static_cast<uint64_t>(stats.append_refactorizations),
-        std::memory_order_relaxed);
-  }
+  const auto add = [](std::atomic<uint64_t>& counter, uint64_t delta) {
+    if (delta != 0) counter.fetch_add(delta, std::memory_order_relaxed);
+  };
+  add(estimates_, after.evaluations - before.evaluations);
+  add(witness_hits_, after.witness_hits - before.witness_hits);
+  add(warm_resolves_, after.warm_resolves - before.warm_resolves);
+  add(cold_solves_, after.cold_solves - before.cold_solves);
+  add(lp_pivots_, pivots);
+  add(lp_refactorizations_, refactorizations);
+  return results;
 }
 
-BoundResult CardinalityAdvisor::EvaluateCompiled(
-    int n, const std::vector<ConcreteStatistic>& stats, bool want_h_opt) {
-  const BoundStructure structure = StructureOf(n, stats);
-  std::shared_ptr<CompiledEntry> entry =
-      LookupOrCompile(structure, StructureKey(structure));
-
-  BoundResult result;
-  {
-    std::lock_guard<std::mutex> lock(entry->mu);
-    result = entry->bound->Evaluate(ValuesOf(stats), want_h_opt);
+template <typename Sink>
+std::vector<std::vector<ConcreteStatistic>> CardinalityAdvisor::Run(
+    std::span<const Query> queries, bool want_h_opt, const Sink& sink) {
+  std::vector<std::vector<ConcreteStatistic>> stats =
+      AssembleStatisticsBatch(queries);
+  // Group queries by structure in first-appearance order, so every group
+  // pays one compiled-cache lookup and one per-bound lock, and its value
+  // columns ride the batch path together.
+  std::vector<std::string> keys(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    keys[i] = StructureKey(StructureOf(queries[i].num_vars(), stats[i]));
   }
-  estimates_.fetch_add(1, std::memory_order_relaxed);
-  RecordEval(result);
-  return result;
+  const StructureKeyHash key_hash;
+  const std::vector<size_t> group_of = DistinctIds(
+      queries.size(), [&](size_t i) { return key_hash(keys[i]); },
+      [&](size_t a, size_t b) { return keys[a] == keys[b]; });
+  struct Group {
+    std::vector<size_t> members;  // query indices, ascending
+    std::vector<std::vector<double>> values;
+  };
+  std::vector<Group> groups;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (group_of[i] == groups.size()) groups.emplace_back();
+    groups[group_of[i]].members.push_back(i);
+    groups[group_of[i]].values.push_back(ValuesOf(stats[i]));
+  }
+  for (const Group& group : groups) {
+    const size_t first = group.members[0];
+    std::vector<BoundResult> results =
+        EvaluateGroup(keys[first], queries[first].num_vars(), stats[first],
+                      group.values, want_h_opt);
+    for (size_t k = 0; k < results.size(); ++k) {
+      sink(group.members[k], std::move(results[k]));
+    }
+  }
+  return stats;
 }
 
 double CardinalityAdvisor::EstimateLog2(const Query& query) {
-  // The empty conjunction has exactly one (empty) answer tuple: log2 1 = 0.
-  // Guarded here because no bound engine accepts a 0-variable structure.
-  if (query.num_atoms() == 0) {
-    estimates_.fetch_add(1, std::memory_order_relaxed);
-    return 0.0;
-  }
-  auto stats = AssembleStatistics(query);
-  return EvaluateCompiled(query.num_vars(), stats, /*want_h_opt=*/false)
-      .log2_bound;
+  double out = kInfNorm;
+  Run(std::span<const Query>(&query, 1), /*want_h_opt=*/false,
+      [&](size_t, BoundResult&& result) { out = result.log2_bound; });
+  return out;
 }
 
 double CardinalityAdvisor::Estimate(const Query& query) {
@@ -318,56 +373,15 @@ std::vector<double> CardinalityAdvisor::EstimateLog2Batch(
     const Query& query, std::span<const std::vector<double>> log_b_batch) {
   batch_calls_.fetch_add(1, std::memory_order_relaxed);
   batch_probes_.fetch_add(log_b_batch.size(), std::memory_order_relaxed);
-  if (query.num_atoms() == 0) {
-    // Empty conjunction: one empty answer tuple regardless of statistics.
-    // Only the empty value vector matches the (empty) statistics set.
-    std::vector<double> out(log_b_batch.size(), kInfNorm);
-    for (size_t c = 0; c < log_b_batch.size(); ++c) {
-      if (log_b_batch[c].empty()) out[c] = 0.0;
-    }
-    estimates_.fetch_add(log_b_batch.size(), std::memory_order_relaxed);
-    return out;
-  }
-  const auto stats = AssembleStatistics(query);
-  const BoundStructure structure = StructureOf(query.num_vars(), stats);
-
-  // Callers hand-construct these vectors, so enforce the alignment
-  // contract here rather than in a debug-only assert downstream: a
-  // mis-sized vector cannot be priced against this structure and gets the
-  // "cannot bound" answer (+inf), while the well-sized rest still rides
-  // the batch path.
-  std::vector<double> out(log_b_batch.size(), kInfNorm);
-  std::vector<size_t> valid;
-  valid.reserve(log_b_batch.size());
-  for (size_t c = 0; c < log_b_batch.size(); ++c) {
-    if (log_b_batch[c].size() == stats.size()) valid.push_back(c);
-  }
-  if (valid.empty()) return out;
-  std::vector<std::vector<double>> valid_values;
-  if (valid.size() != log_b_batch.size()) {
-    valid_values.reserve(valid.size());
-    for (size_t c : valid) valid_values.push_back(log_b_batch[c]);
-  }
-
-  std::shared_ptr<CompiledEntry> entry =
-      LookupOrCompile(structure, StructureKey(structure));
-  std::vector<BoundResult> results;
-  {
-    // One lock for the whole block: the batch is one evaluation sequence
-    // on the shared compiled bound (see CompiledEntry). The common
-    // all-valid case passes the caller's block through without copying.
-    std::lock_guard<std::mutex> lock(entry->mu);
-    results = valid.size() == log_b_batch.size()
-                  ? entry->bound->EvaluateBatch(log_b_batch,
-                                                /*want_h_opt=*/false)
-                  : entry->bound->EvaluateBatch(valid_values,
-                                                /*want_h_opt=*/false);
-  }
-  estimates_.fetch_add(results.size(), std::memory_order_relaxed);
-  for (size_t k = 0; k < results.size(); ++k) {
-    RecordEval(results[k]);
-    out[valid[k]] = results[k].log2_bound;
-  }
+  // The query's own statistics fix the structure; the caller's columns are
+  // its one group, and EvaluateBatch answers columns it cannot price.
+  const std::vector<ConcreteStatistic> stats =
+      std::move(AssembleStatisticsBatch(std::span<const Query>(&query, 1))[0]);
+  const std::vector<BoundResult> results = EvaluateGroup(
+      StructureKey(StructureOf(query.num_vars(), stats)), query.num_vars(),
+      stats, log_b_batch, /*want_h_opt=*/false);
+  std::vector<double> out(results.size());
+  for (size_t c = 0; c < results.size(); ++c) out[c] = results[c].log2_bound;
   return out;
 }
 
@@ -375,55 +389,10 @@ std::vector<double> CardinalityAdvisor::EstimateLog2Batch(
     const std::vector<Query>& queries) {
   batch_calls_.fetch_add(1, std::memory_order_relaxed);
   batch_probes_.fetch_add(queries.size(), std::memory_order_relaxed);
-  // Batched front half: all queries' statistics assembled through one
-  // norm-store GetBatch/PutBatch round (keys deduped across the batch).
-  const std::vector<std::vector<ConcreteStatistic>> all_stats =
-      AssembleStatisticsBatch(queries);
-  // Group queries by compiled structure (first-appearance order) so every
-  // group pays one structure lookup and one per-bound lock, and its value
-  // vectors ride the batch path together.
-  struct Group {
-    BoundStructure structure;
-    std::string key;
-    std::vector<size_t> indices;
-    std::vector<std::vector<double>> values;
-  };
-  std::vector<Group> groups;
-  std::map<std::string, size_t> group_of;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (queries[i].num_atoms() == 0) {
-      // Empty conjunction: log2 1 = 0, no structure to compile.
-      estimates_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    const std::vector<ConcreteStatistic>& stats = all_stats[i];
-    BoundStructure structure = StructureOf(queries[i].num_vars(), stats);
-    std::string key = StructureKey(structure);
-    auto [it, inserted] = group_of.emplace(key, groups.size());
-    if (inserted) {
-      groups.push_back(Group{std::move(structure), std::move(key), {}, {}});
-    }
-    Group& group = groups[it->second];
-    group.indices.push_back(i);
-    group.values.push_back(ValuesOf(stats));
-  }
-
-  std::vector<double> out(queries.size(), 0.0);
-  for (const Group& group : groups) {
-    std::shared_ptr<CompiledEntry> entry =
-        LookupOrCompile(group.structure, group.key);
-    std::vector<BoundResult> results;
-    {
-      std::lock_guard<std::mutex> lock(entry->mu);
-      results = entry->bound->EvaluateBatch(group.values,
-                                            /*want_h_opt=*/false);
-    }
-    estimates_.fetch_add(results.size(), std::memory_order_relaxed);
-    for (size_t k = 0; k < results.size(); ++k) {
-      RecordEval(results[k]);
-      out[group.indices[k]] = results[k].log2_bound;
-    }
-  }
+  std::vector<double> out(queries.size());
+  Run(queries, /*want_h_opt=*/false, [&](size_t i, BoundResult&& result) {
+    out[i] = result.log2_bound;
+  });
   return out;
 }
 
@@ -437,10 +406,11 @@ std::vector<double> CardinalityAdvisor::EstimateBatch(
 CardinalityAdvisor::Explanation CardinalityAdvisor::Explain(
     const Query& query) {
   Explanation out;
-  out.stats = AssembleStatistics(query);
+  std::vector<std::vector<ConcreteStatistic>> stats =
+      Run(std::span<const Query>(&query, 1), /*want_h_opt=*/true,
+          [&](size_t, BoundResult&& result) { out.bound = std::move(result); });
+  out.stats = std::move(stats[0]);
   for (ConcreteStatistic& s : out.stats) s.label = ToString(s, query);
-  out.bound =
-      EvaluateCompiled(query.num_vars(), out.stats, /*want_h_opt=*/true);
   out.metrics = metrics();
   out.lp_backend = LpBackendName(LpBackendKind::kRevised);
   return out;
@@ -471,14 +441,6 @@ AdvisorMetrics CardinalityAdvisor::metrics() const {
   m.lp_pivots = lp_pivots_.load(std::memory_order_relaxed);
   m.lp_refactorizations =
       lp_refactorizations_.load(std::memory_order_relaxed);
-  m.lp_ft_updates = lp_ft_updates_.load(std::memory_order_relaxed);
-  m.lp_devex_resets = lp_devex_resets_.load(std::memory_order_relaxed);
-  m.lp_warm_cut_rounds = lp_warm_cut_rounds_.load(std::memory_order_relaxed);
-  m.lp_dual_repair_pivots =
-      lp_dual_repair_pivots_.load(std::memory_order_relaxed);
-  m.lp_row_appends = lp_row_appends_.load(std::memory_order_relaxed);
-  m.lp_append_refactorizations =
-      lp_append_refactorizations_.load(std::memory_order_relaxed);
   return m;
 }
 

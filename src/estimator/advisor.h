@@ -4,7 +4,8 @@
 // Two caches make the hot path cheap enough for optimizer traffic:
 //   * statistics store — ℓp norms per (relation, conditional), computed
 //     lazily (a packed-key radix sort plus one linear scan per degree
-//     sequence, relation/degree_sequence.h) and reused across queries. The store is sharded by relation (estimator/norm_cache.h):
+//     sequence, relation/degree_sequence.h) and reused across queries.
+//     The store is sharded by relation (estimator/norm_cache.h):
 //     concurrent estimator threads looking up different relations take
 //     different mutexes, and each shard is an LRU map under a byte budget,
 //     so statistics memory stays bounded on wide catalogs (an evicted
@@ -18,32 +19,31 @@
 //     LP is re-solved (warm, then cold) only when the cached basis stops
 //     being optimal.
 //
-// Batch evaluation: an optimizer probing a join-order search space asks
-// for thousands of what-if estimates against the same compiled structure.
-// EstimateLog2Batch amortizes the per-call machinery — statistics
-// assembly, structure lookup, and the per-bound mutex are paid once per
-// batch, and the value vectors flow through the LP solver's multi-RHS
-// resolve (one cached LU factorization, shared dual witness) instead of
-// one scalar cascade per probe.
+// One estimate path: every entry point assembles its queries' statistics
+// through AssembleStatisticsBatch (a single query is a batch of one),
+// groups them by structure in first-appearance order, and evaluates each
+// group's value columns with one compiled-cache lookup and one
+// CompiledBound::EvaluateBatch (the LP solver's multi-RHS resolve) under
+// the bound's lock.
 //
 // Thread safety: all estimation entry points may be called concurrently.
 // The compiled cache is read lock-free: the map lives behind an RCU-style
 // atomic shared_ptr snapshot, so the hot (hit) path is one atomic load —
 // no reader ever serializes against a writer burst. Compiling a new
 // structure copies the map under a writer mutex and swaps the snapshot.
-// Each compiled bound carries its own mutex because Evaluate mutates the
-// cached basis (a batch holds it for the whole block). Invalidate may run
-// concurrently with estimates.
+// Each compiled bound carries its own mutex because evaluation mutates the
+// cached basis (a structure group holds it for its whole block).
+// Invalidate may run concurrently with estimates.
 #ifndef LPB_ESTIMATOR_ADVISOR_H_
 #define LPB_ESTIMATOR_ADVISOR_H_
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bounds/bound_engine.h"
@@ -69,13 +69,16 @@ struct AdvisorOptions {
   NormCacheOptions norm_cache;
 };
 
-// Cumulative counters. Every estimate falls into exactly one of
-// witness/warm/cold. Scalar estimates also split into exactly one of
-// compiled hit/miss; a *batch* performs one compiled-cache lookup per
-// structure group, so under batching `estimates` can exceed
-// `compiled_hits + compiled_misses`.
+// Cumulative counters. estimates and the witness/warm/cold split are
+// deltas of each compiled bound's own CompiledBound::counters(), so
+//   witness_hits + warm_resolves + cold_solves
+//       == estimates - (estimates of 0-variable queries),
+// and a value column CompiledBound rejects (wrong size, NaN or infinite
+// values) counts nowhere. A call does one compiled-cache lookup per
+// structure group: one per single-query call, fewer than its estimates for
+// a batch whose queries share structures.
 struct AdvisorMetrics {
-  uint64_t estimates = 0;        // bound evaluations served
+  uint64_t estimates = 0;        // bounds served (a 0-variable query: 0.0)
   uint64_t batch_calls = 0;      // EstimateLog2Batch invocations (both forms)
   uint64_t batch_probes = 0;     // probes requested across those batches
   uint64_t compiled_hits = 0;    // structure found in the compiled cache
@@ -84,33 +87,17 @@ struct AdvisorMetrics {
   uint64_t warm_resolves = 0;    // dual-simplex pivots from the cached basis
   uint64_t cold_solves = 0;      // full LP solve
   uint64_t norm_evictions = 0;   // statistics-store LRU evictions
-  // Statistics-store traffic (estimator/norm_cache.h): lookup hits and
-  // misses (a miss is a degree-sequence recompute: a radix sort of the
-  // relation's packed rows, relation/degree_sequence.h) and
-  // data-path shard-mutex acquisitions. Batched assembly keeps the last
-  // near "distinct shards touched per batch" instead of "statistics per
-  // batch"; the bench JSON surfaces all three so cache efficacy is gated,
-  // not guessed.
+  // Statistics-store traffic (estimator/norm_cache.h): hits and misses of
+  // each call's distinct degree-sequence keys (a miss is a degree-sequence
+  // recompute, relation/degree_sequence.h) and data-path shard-mutex
+  // acquisitions, one per distinct shard a call touches.
   uint64_t norm_hits = 0;
   uint64_t norm_misses = 0;
   uint64_t norm_shard_locks = 0;
   // LP solver work behind the estimates, summed from BoundResult::lp_stats
-  // (lp/simplex.h): simplex pivots across all phases, basis
-  // refactorizations, Forrest–Tomlin updates taken, and Devex reference
-  // resets. bench_throughput surfaces these so the CI
-  // perf gate can assert on iteration counts, not just wall-clock.
+  // (lp/simplex.h): pivots across all phases and basis refactorizations.
   uint64_t lp_pivots = 0;
   uint64_t lp_refactorizations = 0;
-  uint64_t lp_ft_updates = 0;
-  uint64_t lp_devex_resets = 0;
-  // Cut-growth accounting for the Γn cutting-plane engine: rounds whose new
-  // cut rows were appended onto the live basis (vs rebuilt cold), the dual
-  // pivots spent repairing those appended rows, total rows appended, and
-  // appends whose LU fill tripped an immediate refactorization.
-  uint64_t lp_warm_cut_rounds = 0;
-  uint64_t lp_dual_repair_pivots = 0;
-  uint64_t lp_row_appends = 0;
-  uint64_t lp_append_refactorizations = 0;
 };
 
 class CardinalityAdvisor {
@@ -128,34 +115,24 @@ class CardinalityAdvisor {
 
   // Batched what-if probing: bounds `query` under each hypothetical
   // statistics-value vector in `log_b_batch` (rows aligned with
-  // Explain(query).stats — the advisor's own statistics assembly order;
-  // a vector of any other size cannot be priced and yields +infinity).
-  // Statistics assembly, the structure lookup, and the per-bound lock are
-  // paid once; the values flow through the compiled bound's batch path
-  // (bounds/bound_engine.h). Results are identical to overwriting the
-  // stats' log_b and estimating one vector at a time.
+  // Explain(query).stats), evaluated as the query's one structure group. A
+  // vector of any other size, or with a NaN or +infinity value, yields
+  // +infinity.
   std::vector<double> EstimateLog2Batch(
       const Query& query, std::span<const std::vector<double>> log_b_batch);
 
   // Batched estimation over many queries (e.g. every candidate join
-  // prefix of one search step). Queries sharing a statistics structure —
-  // the norm in template workloads — are grouped and evaluated under one
-  // compiled-bound lock via the batch path. Returns log2 bounds aligned
-  // with `queries`.
+  // prefix of one search step). Returns log2 bounds aligned with
+  // `queries`, bitwise those of one EstimateLog2 call per query.
   std::vector<double> EstimateLog2Batch(const std::vector<Query>& queries);
   // Linear-space variant of the above (2^log2 per entry, saturating).
   std::vector<double> EstimateBatch(const std::vector<Query>& queries);
 
-  // Batched front half of the estimate path: the statistics of many
-  // queries assembled through ONE norm-store GetBatch over the distinct
-  // (relation, U, V) degree-sequence keys of the whole batch (plus one
-  // PutBatch for whatever had to be computed). Keys repeated across the
-  // batch's queries — the norm under admission batching, where concurrent
-  // requests mix a few hot templates — are resolved once, and each
-  // touched cache shard's mutex is visited once per batch instead of once
-  // per statistic. Per query the returned statistics are bitwise those of
-  // the scalar assembly the Explain path performs (same enumeration
-  // order, same norm computation). A 0-atom query yields an empty vector.
+  // Front half of the estimate path: the statistics of many queries
+  // through ONE norm-store GetBatch over the batch's distinct
+  // (relation, U, V) degree-sequence keys, plus one PutBatch for the
+  // misses. Per query: per atom, its cardinality assertion, then each
+  // variable's conditional at every maintained norm (none for 0 atoms).
   std::vector<std::vector<ConcreteStatistic>> AssembleStatisticsBatch(
       std::span<const Query> queries);
 
@@ -198,35 +175,41 @@ class CardinalityAdvisor {
     std::unique_ptr<CompiledBound> bound;
   };
 
-  // Cached log2 norms for one degree sequence, aligned with options_.norms.
-  // Returns by value: the copy keeps the caller independent of concurrent
-  // Invalidate calls and LRU evictions.
-  std::vector<double> CachedNorms(const std::string& relation,
-                                  const std::vector<int>& u_cols,
-                                  const std::vector<int>& v_cols);
-
-  std::vector<ConcreteStatistic> AssembleStatistics(const Query& query);
-
+  // Hash of a StructureKey (~1 KB of 16-byte shape records for a JOB
+  // template).
+  struct StructureKeyHash {
+    size_t operator()(const std::string& key) const;
+  };
   // The compiled-bound map is immutable once published: every write copies
   // the current map and swaps the snapshot pointer (RCU). Readers hold the
   // snapshot shared_ptr for the duration of their lookup, so a concurrent
   // swap never invalidates what they see.
-  using CompiledMap = std::map<std::string, std::shared_ptr<CompiledEntry>>;
+  using CompiledMap =
+      std::unordered_map<std::string, std::shared_ptr<CompiledEntry>,
+                         StructureKeyHash>;
 
-  // Finds or compiles the bound entry for `structure` (whose canonical key
-  // is `key`), bumping the compiled hit/miss counters once. Lock-free on
-  // the hit path (one atomic snapshot load).
+  // Finds the bound entry for structure key `key`, or compiles it from
+  // StructureOf(n, stats), bumping the compiled hit/miss counters once.
+  // Lock-free on the hit path (one atomic snapshot load).
   std::shared_ptr<CompiledEntry> LookupOrCompile(
-      const BoundStructure& structure, const std::string& key);
+      const std::string& key, int n,
+      const std::vector<ConcreteStatistic>& stats);
 
-  // Looks up or compiles the bound for this statistics structure, then
-  // evaluates it at the statistics' values, updating metrics.
-  BoundResult EvaluateCompiled(int n,
-                               const std::vector<ConcreteStatistic>& stats,
-                               bool want_h_opt);
+  // Evaluates `columns` (value vectors aligned with `stats`, the
+  // statistics of an n-variable query with structure key `key`): one
+  // lookup, one EvaluateBatch under the entry lock. The one place a
+  // 0-variable query is answered (log2 1 = 0).
+  std::vector<BoundResult> EvaluateGroup(
+      const std::string& key, int n,
+      const std::vector<ConcreteStatistic>& stats,
+      std::span<const std::vector<double>> columns, bool want_h_opt);
 
-  // Folds one evaluation's path and LP solver work into the counters.
-  void RecordEval(const BoundResult& result);
+  // The estimate path of every query entry point: returns the statistics
+  // (AssembleStatisticsBatch) and passes query i's result to
+  // sink(i, BoundResult&&), each structure group through EvaluateGroup.
+  template <typename Sink>
+  std::vector<std::vector<ConcreteStatistic>> Run(
+      std::span<const Query> queries, bool want_h_opt, const Sink& sink);
 
   const Catalog& catalog_;
   AdvisorOptions options_;
@@ -251,12 +234,6 @@ class CardinalityAdvisor {
   std::atomic<uint64_t> cold_solves_{0};
   std::atomic<uint64_t> lp_pivots_{0};
   std::atomic<uint64_t> lp_refactorizations_{0};
-  std::atomic<uint64_t> lp_ft_updates_{0};
-  std::atomic<uint64_t> lp_devex_resets_{0};
-  std::atomic<uint64_t> lp_warm_cut_rounds_{0};
-  std::atomic<uint64_t> lp_dual_repair_pivots_{0};
-  std::atomic<uint64_t> lp_row_appends_{0};
-  std::atomic<uint64_t> lp_append_refactorizations_{0};
 };
 
 }  // namespace lpb

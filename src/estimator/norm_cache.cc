@@ -63,13 +63,6 @@ ShardedNormCache::Lookup ShardedNormCache::GetLocked(Shard& shard,
   return out;
 }
 
-ShardedNormCache::Lookup ShardedNormCache::Get(const Key& key) {
-  Shard& shard = ShardOf(std::get<0>(key));
-  std::lock_guard<std::mutex> lock(shard.mu);
-  ++shard.lock_acquisitions;
-  return GetLocked(shard, key);
-}
-
 void ShardedNormCache::PutLocked(Shard& shard, const Key& key,
                                  std::vector<double> norms,
                                  uint64_t generation) {
@@ -102,50 +95,43 @@ void ShardedNormCache::PutLocked(Shard& shard, const Key& key,
   }
 }
 
-void ShardedNormCache::Put(const Key& key, std::vector<double> norms,
-                           uint64_t generation) {
-  Shard& shard = ShardOf(std::get<0>(key));
-  std::lock_guard<std::mutex> lock(shard.mu);
-  ++shard.lock_acquisitions;
-  PutLocked(shard, key, std::move(norms), generation);
+template <typename RelationOf, typename Visit>
+void ShardedNormCache::ForEachByShard(size_t n, const RelationOf& relation_of,
+                                      const Visit& visit) {
+  // Sorted (shard, item) pairs: each touched shard's items form one run,
+  // in item order. Shards are locked one at a time in index order (never
+  // nested), so racing batches cannot deadlock.
+  std::vector<std::pair<size_t, size_t>> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = {ShardIndexOf(relation_of(i)), i};
+  std::sort(order.begin(), order.end());
+  for (size_t k = 0; k < n;) {
+    const size_t s = order[k].first;
+    Shard& shard = *shards_[s];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    ++shard.lock_acquisitions;
+    for (; k < n && order[k].first == s; ++k) visit(shard, order[k].second);
+  }
 }
 
 std::vector<ShardedNormCache::Lookup> ShardedNormCache::GetBatch(
     std::span<const Key> keys) {
   std::vector<Lookup> out(keys.size());
-  // Bucket key indices by shard, then visit each touched shard once. The
-  // shard count is small and fixed, so the bucket vector is cheap; shards
-  // are locked one at a time in index order (never nested), so batches
-  // racing each other or scalar calls cannot deadlock.
-  std::vector<std::vector<size_t>> by_shard(shards_.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    by_shard[ShardIndexOf(std::get<0>(keys[i]))].push_back(i);
-  }
-  for (size_t s = 0; s < by_shard.size(); ++s) {
-    if (by_shard[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    ++shard.lock_acquisitions;
-    for (size_t i : by_shard[s]) out[i] = GetLocked(shard, keys[i]);
-  }
+  ForEachByShard(
+      keys.size(),
+      [&](size_t i) -> const std::string& { return std::get<0>(keys[i]); },
+      [&](Shard& shard, size_t i) { out[i] = GetLocked(shard, keys[i]); });
   return out;
 }
 
 void ShardedNormCache::PutBatch(std::vector<PutItem> items) {
-  std::vector<std::vector<size_t>> by_shard(shards_.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    by_shard[ShardIndexOf(std::get<0>(items[i].key))].push_back(i);
-  }
-  for (size_t s = 0; s < by_shard.size(); ++s) {
-    if (by_shard[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    ++shard.lock_acquisitions;
-    for (size_t i : by_shard[s]) {
-      PutLocked(shard, items[i].key, std::move(items[i].norms),
-                items[i].generation);
-    }
-  }
+  ForEachByShard(
+      items.size(), [&](size_t i) -> const std::string& {
+        return std::get<0>(items[i].key);
+      },
+      [&](Shard& shard, size_t i) {
+        PutLocked(shard, items[i].key, std::move(items[i].norms),
+                  items[i].generation);
+      });
 }
 
 void ShardedNormCache::InvalidateRelation(const std::string& relation) {
@@ -166,58 +152,33 @@ void ShardedNormCache::InvalidateRelation(const std::string& relation) {
   }
 }
 
+template <typename Field>
+uint64_t ShardedNormCache::SumOverShards(const Field& field) const {
+  uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    total += field(*shard);
+  }
+  return total;
+}
+
 size_t ShardedNormCache::Size() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->map.size();
-  }
-  return total;
+  return SumOverShards([](const Shard& s) { return s.map.size(); });
 }
-
 size_t ShardedNormCache::Bytes() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->bytes;
-  }
-  return total;
+  return SumOverShards([](const Shard& s) { return s.bytes; });
 }
-
 uint64_t ShardedNormCache::Evictions() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->evictions;
-  }
-  return total;
+  return SumOverShards([](const Shard& s) { return s.evictions; });
 }
-
 uint64_t ShardedNormCache::Hits() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->hits;
-  }
-  return total;
+  return SumOverShards([](const Shard& s) { return s.hits; });
 }
-
 uint64_t ShardedNormCache::Misses() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->misses;
-  }
-  return total;
+  return SumOverShards([](const Shard& s) { return s.misses; });
 }
-
 uint64_t ShardedNormCache::LockAcquisitions() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->lock_acquisitions;
-  }
-  return total;
+  return SumOverShards([](const Shard& s) { return s.lock_acquisitions; });
 }
 
 }  // namespace lpb

@@ -15,20 +15,21 @@
 // next lookup, it never changes results.
 //
 // Staleness: each shard carries a *per-relation* generation counter
-// bumped by InvalidateRelation. Get returns the generation observed under
-// the shard lock; Put refuses to insert when that relation's generation
-// has moved on, so a norm computation that raced an invalidation cannot
-// re-insert stale values (the caller still uses the computed norms for
-// its own call) — while invalidating one relation never discards
-// concurrent computations for other relations that share its shard.
+// bumped by InvalidateRelation. GetBatch returns the generation observed
+// under the shard lock; PutBatch refuses to insert when that relation's
+// generation has moved on, so a norm computation that raced an
+// invalidation cannot re-insert stale values (the caller still uses the
+// computed norms for its own call) — while invalidating one relation never
+// discards concurrent computations for other relations that share its
+// shard.
 //
-// Batch entry points: GetBatch/PutBatch group their keys by shard and
+// The store is batch-only: GetBatch/PutBatch group their keys by shard and
 // take each touched shard's mutex once for the whole batch, instead of
-// once per key — the lock-traffic contract the advisor's batched
-// statistics assembly (estimator/advisor.h, AssembleStatisticsBatch)
-// relies on. Per key they run the same code as Get/Put (same LRU refresh,
-// same generation refusal), so results are bitwise those of the scalar
-// sequence.
+// once per key — the lock-traffic contract the advisor's statistics
+// assembly (estimator/advisor.h, AssembleStatisticsBatch) relies on. A
+// single lookup is a batch of one. Within a shard, keys are visited in
+// batch order, so a batch's LRU refresh, generation refusal and hit/miss
+// counts are those of the same keys looked up one batch of one at a time.
 #ifndef LPB_ESTIMATOR_NORM_CACHE_H_
 #define LPB_ESTIMATOR_NORM_CACHE_H_
 
@@ -60,36 +61,25 @@ class ShardedNormCache {
   struct Lookup {
     bool found = false;
     std::vector<double> norms;  // valid when found
-    // The key's relation generation observed under the lock; pass to Put.
+    // The relation generation observed under the lock; pass to PutBatch.
     uint64_t generation = 0;
   };
 
   explicit ShardedNormCache(NormCacheOptions options = {});
 
-  // Looks the key up in its relation's shard, refreshing LRU recency on a
-  // hit. Always reports the relation's generation, so a miss can be
-  // followed by a compute + Put.
-  Lookup Get(const Key& key);
-
-  // Inserts (or refreshes) the entry unless the key's relation generation
-  // no longer equals `generation` — an invalidation of *that relation*
-  // ran while the caller computed — then evicts LRU entries until the
-  // shard is back under its byte share.
-  void Put(const Key& key, std::vector<double> norms, uint64_t generation);
-
-  // Batched lookup: keys are grouped by shard and each touched shard's
-  // mutex is taken exactly once for the whole batch (LockAcquisitions
-  // grows by the number of *distinct* shards, not by keys.size()), so a
-  // multi-query statistics assembly stops paying one lock round-trip per
-  // statistic. Per key the result — found/norms/generation, LRU recency
-  // refresh, hit/miss accounting — is identical to calling Get in
-  // sequence. Returned lookups align with `keys`.
+  // Looks every key up in its relation's shard, refreshing LRU recency on
+  // a hit. Keys are grouped by shard and each touched shard's mutex is
+  // taken exactly once for the whole batch (LockAcquisitions grows by the
+  // number of *distinct* shards, not by keys.size()). Every lookup reports
+  // its relation's generation, so a miss can be followed by a compute +
+  // PutBatch. Returned lookups align with `keys`.
   std::vector<Lookup> GetBatch(std::span<const Key> keys);
 
-  // Batched insert, the Put counterpart of GetBatch: one mutex visit per
-  // distinct shard, each item subject to the same per-relation generation
-  // refusal as Put (an item whose relation was invalidated since its
-  // GetBatch is dropped; the rest of the batch still lands).
+  // Inserts (or refreshes) every item, one mutex visit per distinct shard,
+  // unless the item's relation generation no longer equals its
+  // `generation` — an invalidation of *that relation* ran while the caller
+  // computed; the rest of the batch still lands. Each touched shard then
+  // evicts LRU entries until it is back under its byte share.
   struct PutItem {
     Key key;
     std::vector<double> norms;
@@ -104,9 +94,9 @@ class ShardedNormCache {
   size_t Size() const;        // entries across all shards
   size_t Bytes() const;       // charged bytes across all shards
   uint64_t Evictions() const; // cumulative LRU evictions
-  uint64_t Hits() const;      // cumulative Get/GetBatch hits
-  uint64_t Misses() const;    // cumulative Get/GetBatch misses
-  // Data-path shard-mutex acquisitions (Get/Put/GetBatch/PutBatch/
+  uint64_t Hits() const;      // cumulative GetBatch hits
+  uint64_t Misses() const;    // cumulative GetBatch misses
+  // Data-path shard-mutex acquisitions (GetBatch/PutBatch/
   // InvalidateRelation). Monitoring reads (Size, Bytes, counters) are not
   // counted, so tests can assert "one acquisition per distinct shard per
   // batch" exactly.
@@ -133,12 +123,20 @@ class ShardedNormCache {
     uint64_t lock_acquisitions = 0;
   };
 
-  // Per-key bodies of Get/Put, shared verbatim by the scalar and batch
-  // entry points (the batch results are bitwise those of the scalar
-  // sequence because they run the same code). Caller holds shard.mu.
+  // Per-key bodies of GetBatch/PutBatch. Caller holds shard.mu.
   Lookup GetLocked(Shard& shard, const Key& key);
   void PutLocked(Shard& shard, const Key& key, std::vector<double> norms,
                  uint64_t generation);
+
+  // Calls visit(shard, i) for every i < n, item i living in the shard of
+  // relation_of(i): each touched shard's mutex is taken once, shards in
+  // index order and never nested, items of one shard in index order.
+  template <typename RelationOf, typename Visit>
+  void ForEachByShard(size_t n, const RelationOf& relation_of,
+                      const Visit& visit);
+  // Sum of field(shard) over all shards, each read under its mutex.
+  template <typename Field>
+  uint64_t SumOverShards(const Field& field) const;
 
   size_t ShardIndexOf(const std::string& relation) const;
   Shard& ShardOf(const std::string& relation);

@@ -1,17 +1,17 @@
 // AdvisorService: a concurrent serving front end for CardinalityAdvisor.
 //
-// The advisor's batch paths (estimator/advisor.h) are an order of
-// magnitude cheaper per estimate than its scalar path — one statistics
-// assembly round, one compiled-bound lock, one multi-RHS block resolve
-// per batch — but an optimizer fleet submits *single* estimates from many
-// threads. This service turns that traffic back into batches by
+// The advisor's multi-query batches (estimator/advisor.h) are cheaper per
+// estimate than one call per query — one statistics assembly round, one
+// compiled-bound lock and one multi-RHS block resolve per structure group
+// — but an optimizer fleet submits *single* estimates from many threads.
+// This service turns that traffic back into batches by
 // **admission batching**: requests land on a bounded MPSC queue per
 // pinned worker (util/mpsc_queue.h), and a worker draining its queue
 // coalesces every request that arrived within a microbatch window
 // (tunable count/time thresholds, AdvisorServiceOptions) into ONE
 // EstimateLog2Batch call, completing each caller's future with its own
 // estimate. Concurrent single estimates thus ride a single block resolve
-// instead of N scalar warm resolves, and the batched statistics assembly
+// instead of N one-query warm resolves, and the statistics assembly
 // dedups their (relation, U, V) degree-sequence keys across the batch.
 //
 // Request dedup: before resolving, a worker dedups *identical* queries

@@ -84,10 +84,20 @@ TEST(Advisor, CacheIsSharedAcrossQueries) {
 TEST(Advisor, SelfJoinSharesCacheEntries) {
   Catalog db = SmallDb();
   CardinalityAdvisor advisor(db);
-  advisor.EstimateLog2(Parse("R(X,Y), R(Y,Z)"));
-  // Two atoms over the same relation with the same column splits: the
-  // cache holds entries for R only (cardinality + two conditionals).
-  EXPECT_LE(advisor.CacheSize(), 3u);
+  const Query q = Parse("R(X,Y), R(Y,Z)");
+  advisor.EstimateLog2(q);
+  // Two atoms over the same relation with the same column splits: six
+  // statistic lookups name three degree sequences of R (cardinality + two
+  // conditionals). A call dedups its keys before the store sees them, so
+  // the first call is three misses and no hits, the second three hits.
+  EXPECT_EQ(advisor.CacheSize(), 3u);
+  AdvisorMetrics m = advisor.metrics();
+  EXPECT_EQ(m.norm_misses, 3u);
+  EXPECT_EQ(m.norm_hits, 0u);
+  advisor.EstimateLog2(q);
+  m = advisor.metrics();
+  EXPECT_EQ(m.norm_misses, 3u);
+  EXPECT_EQ(m.norm_hits, 3u);
 }
 
 TEST(Advisor, InvalidateDropsOnlyThatRelation) {

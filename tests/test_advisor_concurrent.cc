@@ -19,6 +19,7 @@
 #include "estimator/advisor.h"
 #include "estimator/norm_cache.h"
 #include "query/parser.h"
+#include "relation/degree_sequence.h"
 #include "util/random.h"
 #include "util/zipf.h"
 
@@ -54,6 +55,12 @@ Catalog StressDb(uint64_t seed = 17) {
     db.Add(std::move(r));
   }
   return db;
+}
+
+// One key looked up or inserted as a batch of one.
+ShardedNormCache::Lookup GetOne(ShardedNormCache& cache,
+                                const ShardedNormCache::Key& key) {
+  return cache.GetBatch(std::span<const ShardedNormCache::Key>(&key, 1))[0];
 }
 
 std::vector<Query> StressQueries() {
@@ -103,7 +110,7 @@ TEST(AdvisorConcurrent, EightThreadsBatchEstimatesStayExact) {
           }
           case 1: {
             // What-if batch: the real values repeated must reproduce the
-            // scalar estimate on every column.
+            // single-query estimate on every column.
             const size_t i = rng.Uniform(queries.size());
             const auto stats = advisor.Explain(queries[i]).stats;
             served.fetch_add(1);  // the Explain
@@ -225,15 +232,15 @@ TEST(AdvisorConcurrent, CompiledMapSnapshotSurvivesWriterBursts) {
   EXPECT_GE(advisor.CompiledCacheSize(), 4u);
 }
 
-TEST(NormCacheBatch, BatchLookupsAreBitwiseTheScalarSequence) {
-  // GetBatch/PutBatch run the same per-key code as Get/Put, so against two
-  // caches fed identically, every field of every lookup — found, norms
-  // (==, not near), generation — must agree, as must the LRU-driven
-  // eviction and size books.
+TEST(NormCacheBatch, BatchLookupsAreBitwiseTheSingleKeySequence) {
+  // A batch visits each shard's keys in batch order, so against two caches
+  // fed identically — one a batch at a time, one a batch of one per key —
+  // every field of every lookup (found, norms with ==, generation) must
+  // agree, as must the LRU-driven eviction, hit/miss and size books.
   NormCacheOptions options;
   options.shards = 4;
   options.byte_budget = 8 << 10;  // eviction-prone: parity must survive LRU
-  ShardedNormCache scalar(options);
+  ShardedNormCache single(options);
   ShardedNormCache batch(options);
 
   Rng rng(99);
@@ -252,22 +259,22 @@ TEST(NormCacheBatch, BatchLookupsAreBitwiseTheScalarSequence) {
     for (size_t k = 0; k < n; ++k) {
       probe.push_back(keys[rng.Uniform(keys.size())]);
     }
-    std::vector<ShardedNormCache::Lookup> scalar_got;
-    for (const auto& key : probe) scalar_got.push_back(scalar.Get(key));
+    std::vector<ShardedNormCache::Lookup> single_got;
+    for (const auto& key : probe) single_got.push_back(GetOne(single, key));
     const std::vector<ShardedNormCache::Lookup> batch_got =
         batch.GetBatch(probe);
     ASSERT_EQ(batch_got.size(), probe.size());
     std::vector<ShardedNormCache::PutItem> puts;
     for (size_t k = 0; k < probe.size(); ++k) {
-      EXPECT_EQ(batch_got[k].found, scalar_got[k].found);
-      EXPECT_EQ(batch_got[k].generation, scalar_got[k].generation);
-      EXPECT_EQ(batch_got[k].norms, scalar_got[k].norms);  // bitwise
-      if (!scalar_got[k].found) {
+      EXPECT_EQ(batch_got[k].found, single_got[k].found);
+      EXPECT_EQ(batch_got[k].generation, single_got[k].generation);
+      EXPECT_EQ(batch_got[k].norms, single_got[k].norms);  // bitwise
+      if (!single_got[k].found) {
         // Deterministic fake "computation" both caches insert.
         std::vector<double> norms = {static_cast<double>(round),
                                      static_cast<double>(k),
                                      rng.NextDouble()};
-        scalar.Put(probe[k], norms, scalar_got[k].generation);
+        single.PutBatch({{probe[k], norms, single_got[k].generation}});
         puts.push_back({probe[k], norms, batch_got[k].generation});
       }
     }
@@ -275,14 +282,14 @@ TEST(NormCacheBatch, BatchLookupsAreBitwiseTheScalarSequence) {
     // Occasional invalidation, mirrored to both.
     if (round % 7 == 3) {
       const char* rel = rels[rng.Uniform(5)];
-      scalar.InvalidateRelation(rel);
+      single.InvalidateRelation(rel);
       batch.InvalidateRelation(rel);
     }
-    EXPECT_EQ(batch.Size(), scalar.Size());
-    EXPECT_EQ(batch.Bytes(), scalar.Bytes());
-    EXPECT_EQ(batch.Evictions(), scalar.Evictions());
-    EXPECT_EQ(batch.Hits(), scalar.Hits());
-    EXPECT_EQ(batch.Misses(), scalar.Misses());
+    EXPECT_EQ(batch.Size(), single.Size());
+    EXPECT_EQ(batch.Bytes(), single.Bytes());
+    EXPECT_EQ(batch.Evictions(), single.Evictions());
+    EXPECT_EQ(batch.Hits(), single.Hits());
+    EXPECT_EQ(batch.Misses(), single.Misses());
   }
 }
 
@@ -314,7 +321,7 @@ TEST(NormCacheBatch, OneLockAcquisitionPerDistinctShardPerBatch) {
   for (const auto& lookup : lookups) EXPECT_TRUE(lookup.found);
 
   // Many shards: a batch over k distinct relations costs at most
-  // min(k, shards) acquisitions (scalar would cost keys.size()).
+  // min(k, shards) acquisitions (a lookup per key would cost keys.size()).
   NormCacheOptions many;
   many.shards = 16;
   ShardedNormCache sharded(many);
@@ -349,18 +356,18 @@ TEST(NormCacheBatch, PutBatchRefusesEntriesInvalidatedSinceLookup) {
   ShardedNormCache cache;  // default 16 shards
   const ShardedNormCache::Key stale_key{"R", {0}, {1}};
   const ShardedNormCache::Key fresh_key{"S", {0}, {1}};
-  const auto stale_gen = cache.Get(stale_key).generation;
-  const auto fresh_gen = cache.Get(fresh_key).generation;
+  const auto stale_gen = GetOne(cache, stale_key).generation;
+  const auto fresh_gen = GetOne(cache, fresh_key).generation;
   // R is invalidated while "the computation" runs; S is not.
   cache.InvalidateRelation("R");
   cache.PutBatch({{stale_key, {1.0}, stale_gen}, {fresh_key, {2.0}, fresh_gen}});
-  EXPECT_FALSE(cache.Get(stale_key).found);  // refused
-  EXPECT_TRUE(cache.Get(fresh_key).found);   // the rest of the batch lands
+  EXPECT_FALSE(GetOne(cache, stale_key).found);  // refused
+  EXPECT_TRUE(GetOne(cache, fresh_key).found);   // the rest of the batch lands
   EXPECT_EQ(cache.Size(), 1u);
 }
 
 TEST(NormCacheBatch, EightThreadMixedBatchAndInvalidateStress) {
-  // Batch lookups/inserts racing scalar traffic and invalidation across
+  // Batch lookups/inserts racing each other and invalidation across
   // shared shards: the books (hits + misses == lookups served) and the
   // found=>nonempty-norms invariant must hold throughout. TSan-checked in
   // the CI lane.
@@ -410,33 +417,87 @@ TEST(NormCacheBatch, EightThreadMixedBatchAndInvalidateStress) {
   EXPECT_EQ(cache.Hits() + cache.Misses(), lookups_served.load());
 }
 
-TEST(AdvisorBatchAssembly, BatchedStatisticsAreBitwiseScalarOnAllEngines) {
+// Columns of `atom` binding the variables of `s`, in variable order.
+std::vector<int> AtomColumns(const Atom& atom, VarSet s) {
+  std::vector<int> cols;
+  for (int v : VarRange(s)) {
+    for (size_t j = 0; j < atom.vars.size(); ++j) {
+      if (atom.vars[j] == v) cols.push_back(static_cast<int>(j));
+    }
+  }
+  return cols;
+}
+
+// The statistics the advisor documents for `query`, computed here from the
+// catalog: per atom, the cardinality assertion |Π_vars(R)| (the ℓ1 norm of
+// the one-entry deg(vars|∅)), then for each of its variables v the
+// conditional deg(rest|v) at every maintained norm.
+std::vector<ConcreteStatistic> ReferenceStatistics(
+    const Query& query, const Catalog& db, const std::vector<double>& norms) {
+  std::vector<ConcreteStatistic> stats;
+  for (int a = 0; a < query.num_atoms(); ++a) {
+    const Atom& atom = query.atom(a);
+    const Relation& rel = db.Get(atom.relation);
+    const VarSet vars = atom.var_set();
+    ConcreteStatistic card;
+    card.sigma = {0, vars};
+    card.p = 1.0;
+    card.guard_atom = a;
+    card.log_b =
+        ComputeDegreeSequence(rel, {}, AtomColumns(atom, vars)).Log2NormP(1.0);
+    stats.push_back(card);
+    for (int v : VarRange(vars)) {
+      const VarSet rest = vars & ~VarBit(v);
+      if (rest == 0) continue;
+      const DegreeSequence deg = ComputeDegreeSequence(
+          rel, AtomColumns(atom, VarBit(v)), AtomColumns(atom, rest));
+      for (double p : norms) {
+        ConcreteStatistic s;
+        s.sigma = {VarBit(v), rest};
+        s.p = p;
+        s.guard_atom = a;
+        s.log_b = deg.Log2NormP(p);
+        stats.push_back(s);
+      }
+    }
+  }
+  return stats;
+}
+
+TEST(AdvisorBatchAssembly, BatchedStatisticsAreBitwiseTheDegreeSequenceNorms) {
   // AssembleStatisticsBatch must return, per query, exactly the statistics
-  // the scalar Explain path assembles — same order, same labels, same
-  // log_b to the last bit — on every bound engine (the assembly is
-  // upstream of the engine, but engine choice changes which statistics
-  // downstream code trusts, so pin all of them).
+  // computed straight from the catalog — same order, same shapes, log_b to
+  // the last bit — whatever the bound engine (the assembly is upstream of
+  // the engine, but engine choice changes which statistics downstream code
+  // trusts, so pin all of them), and whether a key is a cache miss, a hit,
+  // or a repeat of another query's key in the same batch.
   Catalog db = StressDb();
   const std::vector<Query> queries = StressQueries();
+  const std::vector<double> norms = AdvisorOptions{}.norms;
   for (const char* engine : {"gamma", "normal", "auto", "agm", "panda"}) {
     AdvisorOptions options;
     options.bound_engine = engine;
     CardinalityAdvisor advisor(db, options);
-    // Repeats across queries exercise the batch dedup path.
+    // Repeats across queries exercise the batch dedup path; the second
+    // round is served from the cache.
     std::vector<Query> doubled = queries;
     doubled.insert(doubled.end(), queries.begin(), queries.end());
-    const auto batched = advisor.AssembleStatisticsBatch(doubled);
-    ASSERT_EQ(batched.size(), doubled.size());
-    for (size_t i = 0; i < doubled.size(); ++i) {
-      const auto scalar = advisor.Explain(doubled[i]).stats;
-      ASSERT_EQ(batched[i].size(), scalar.size()) << engine << " query " << i;
-      for (size_t s = 0; s < scalar.size(); ++s) {
-        EXPECT_EQ(batched[i][s].log_b, scalar[s].log_b)  // bitwise
-            << engine << " query " << i << " stat " << s;
-        EXPECT_EQ(batched[i][s].p, scalar[s].p);
-        EXPECT_EQ(batched[i][s].guard_atom, scalar[s].guard_atom);
-        EXPECT_EQ(batched[i][s].sigma.u, scalar[s].sigma.u);
-        EXPECT_EQ(batched[i][s].sigma.v, scalar[s].sigma.v);
+    for (int round = 0; round < 2; ++round) {
+      const auto batched = advisor.AssembleStatisticsBatch(doubled);
+      ASSERT_EQ(batched.size(), doubled.size());
+      for (size_t i = 0; i < doubled.size(); ++i) {
+        const auto expected = ReferenceStatistics(doubled[i], db, norms);
+        ASSERT_EQ(batched[i].size(), expected.size())
+            << engine << " query " << i;
+        for (size_t s = 0; s < expected.size(); ++s) {
+          EXPECT_EQ(batched[i][s].log_b, expected[s].log_b)  // bitwise
+              << engine << " round " << round << " query " << i << " stat "
+              << s;
+          EXPECT_EQ(batched[i][s].p, expected[s].p);
+          EXPECT_EQ(batched[i][s].guard_atom, expected[s].guard_atom);
+          EXPECT_EQ(batched[i][s].sigma.u, expected[s].sigma.u);
+          EXPECT_EQ(batched[i][s].sigma.v, expected[s].sigma.v);
+        }
       }
     }
   }

@@ -504,7 +504,10 @@ Catalog SmallDb(uint64_t seed = 3) {
   return db;
 }
 
-TEST(AdvisorBatch, MultiQueryBatchMatchesScalarLoop) {
+TEST(AdvisorBatch, BatchOfNMatchesNCallsOfOne) {
+  // A batch groups its queries by structure and evaluates each group as one
+  // block, so a structure's compiled bound sees its columns in the same
+  // order as under one call per query: the bounds agree bitwise.
   Catalog db = SmallDb();
   std::vector<Query> queries;
   for (const char* text :
@@ -513,11 +516,11 @@ TEST(AdvisorBatch, MultiQueryBatchMatchesScalarLoop) {
         "R(X,Y), S(Y,Z)"}) {
     queries.push_back(Parse(text));
   }
-  CardinalityAdvisor scalar_advisor(db);
+  CardinalityAdvisor one_advisor(db);
   CardinalityAdvisor batch_advisor(db);
   std::vector<double> expected;
   for (const Query& q : queries) {
-    expected.push_back(scalar_advisor.EstimateLog2(q));
+    expected.push_back(one_advisor.EstimateLog2(q));
   }
   const std::vector<double> got = batch_advisor.EstimateLog2Batch(queries);
   ASSERT_EQ(got.size(), expected.size());
@@ -591,6 +594,97 @@ TEST(AdvisorBatch, NonFiniteWhatIfValuesNeverPoisonLaterEstimates) {
   }
 }
 
+TEST(AdvisorBatch, RejectedWhatIfColumnsCountNowhere) {
+  // A what-if column CompiledBound cannot price — a NaN or +inf value, or
+  // the wrong size — reaches no engine: it reads "cannot bound" and moves
+  // none of the evaluation counters, and later estimates are bitwise those
+  // made before it.
+  Catalog db = SmallDb(3);
+  const Query q = Parse("R(X,Y), S(Y,Z)");
+  CardinalityAdvisor advisor(db);
+  const double estimate = advisor.EstimateLog2(q);
+  ASSERT_TRUE(std::isfinite(estimate));
+  const std::vector<double> real = ValuesOf(advisor.Explain(q).stats);
+  std::vector<double> with_nan = real;
+  with_nan[0] = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> with_inf = real;
+  with_inf.back() = kInfNorm;
+  std::vector<double> longer = real;
+  longer.push_back(1.0);
+  const std::vector<double> shorter(real.begin(), real.end() - 1);
+  const std::vector<std::pair<const char*, std::vector<double>>> rejected = {
+      {"nan", with_nan},
+      {"+inf", with_inf},
+      {"longer", longer},
+      {"shorter", shorter},
+      {"empty", {}}};
+  for (const auto& [name, column] : rejected) {
+    const AdvisorMetrics before = advisor.metrics();
+    const std::vector<double> got =
+        advisor.EstimateLog2Batch(q, std::vector<std::vector<double>>{column});
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0], kInfNorm) << name;
+    const AdvisorMetrics after = advisor.metrics();
+    EXPECT_EQ(after.estimates, before.estimates) << name;
+    EXPECT_EQ(after.witness_hits, before.witness_hits) << name;
+    EXPECT_EQ(after.warm_resolves, before.warm_resolves) << name;
+    EXPECT_EQ(after.cold_solves, before.cold_solves) << name;
+    EXPECT_EQ(advisor.EstimateLog2(q), estimate) << name;
+
+    // Beside well-formed columns, only those count.
+    const std::vector<std::vector<double>> mixed = {real, column, real};
+    const AdvisorMetrics mixed_before = advisor.metrics();
+    const std::vector<double> mixed_got = advisor.EstimateLog2Batch(q, mixed);
+    EXPECT_EQ(mixed_got, (std::vector<double>{estimate, kInfNorm, estimate}))
+        << name;
+    EXPECT_EQ(advisor.metrics().estimates - mixed_before.estimates, 2u)
+        << name;
+  }
+}
+
+TEST(AdvisorBatch, EvalPathCountsSumToEngineEstimates) {
+  // Every estimate a bound engine serves is exactly one of witness, warm or
+  // cold; the only estimates outside the three are 0-variable queries
+  // (answered log2 1 = 0 without an engine). Pinned over every entry point,
+  // with fresh and repeated structures, empty queries and rejected what-if
+  // columns in the mix.
+  Catalog db = SmallDb(5);
+  const Query empty("empty");
+  const Query q1 = Parse("R(X,Y), S(Y,Z)");
+  const Query q2 = Parse("R(X,Y), S(Y,Z), T(Z,X)");
+  const Query q3 = Parse("S(X,Y), T(Y,Z)");
+  CardinalityAdvisor advisor(db);
+  uint64_t empty_estimates = 0;
+
+  advisor.EstimateLog2(q1);
+  advisor.EstimateLog2(empty);
+  ++empty_estimates;
+  advisor.EstimateLog2Batch(std::vector<Query>{q2, empty, q3, q1, q2, empty});
+  empty_estimates += 2;
+  const std::vector<double> real = ValuesOf(advisor.Explain(q2).stats);
+  std::vector<double> bad = real;
+  bad[1] = std::numeric_limits<double>::quiet_NaN();
+  const auto jittered = JitteredBatch(advisor.Explain(q1).stats, 7);
+  std::vector<std::vector<double>> block(jittered.begin(), jittered.end());
+  block.push_back(bad);  // wrong size for q1, and NaN
+  advisor.EstimateLog2Batch(q1, block);
+  advisor.EstimateLog2Batch(q2, std::vector<std::vector<double>>{real, bad});
+  advisor.EstimateLog2Batch(empty, std::vector<std::vector<double>>{{}, {1.0}});
+  ++empty_estimates;
+  advisor.Explain(empty);
+  ++empty_estimates;
+  advisor.EstimateBatch(std::vector<Query>{q3, q1});
+
+  const AdvisorMetrics m = advisor.metrics();
+  EXPECT_GT(m.witness_hits, 0u);
+  EXPECT_GT(m.cold_solves, 0u);
+  EXPECT_EQ(m.witness_hits + m.warm_resolves + m.cold_solves,
+            m.estimates - empty_estimates);
+  // 2 calls of one, a batch of 6, 2 Explains, 8 jittered columns, 1 real
+  // column, 1 empty what-if column, 1 Explain, a batch of 2.
+  EXPECT_EQ(m.estimates, 23u);
+}
+
 TEST(AdvisorBatch, EmptyBatchesAreSafeNoOps) {
   // The DP driver can legitimately produce a level with zero probes;
   // every batch layer must treat an empty batch as a no-op, not UB.
@@ -612,34 +706,34 @@ TEST(AdvisorBatch, EmptyBatchesAreSafeNoOps) {
   EXPECT_EQ(after.estimates, before.estimates);
 }
 
-TEST(AdvisorBatch, SingleElementBatchMatchesScalarBitwise) {
-  // A batch of one must be indistinguishable from the scalar entry point —
-  // the degenerate case the DP's level-1 loop hits on single-atom queries.
+TEST(AdvisorBatch, BatchOfOneMatchesOneCallBitwise) {
+  // A batch of one must be indistinguishable from EstimateLog2 — the
+  // degenerate case the DP's level-1 loop hits on single-atom queries.
   Catalog db = SmallDb(22);
   for (const char* text : {"R(X,Y)", "R(X,Y), S(Y,Z)",
                            "R(X,Y), S(Y,Z), T(Z,X)"}) {
     const Query q = Parse(text);
-    CardinalityAdvisor scalar_advisor(db);
+    CardinalityAdvisor one_advisor(db);
     CardinalityAdvisor batch_advisor(db);
-    const double scalar = scalar_advisor.EstimateLog2(q);
+    const double one = one_advisor.EstimateLog2(q);
     const std::vector<double> batch =
         batch_advisor.EstimateLog2Batch(std::vector<Query>{q});
     ASSERT_EQ(batch.size(), 1u);
-    EXPECT_EQ(batch[0], scalar) << text;
+    EXPECT_EQ(batch[0], one) << text;
   }
   // Same for the what-if overload: one value vector, identical call
   // history on both advisors (Explain, then one evaluation of the real
   // values).
   const Query q = Parse("R(X,Y), S(Y,Z)");
-  CardinalityAdvisor scalar_advisor(db);
+  CardinalityAdvisor one_advisor(db);
   CardinalityAdvisor batch_advisor(db);
-  const auto values = ValuesOf(scalar_advisor.Explain(q).stats);
+  const auto values = ValuesOf(one_advisor.Explain(q).stats);
   (void)batch_advisor.Explain(q);
-  const double scalar = scalar_advisor.EstimateLog2(q);
-  const std::vector<double> got =
-      batch_advisor.EstimateLog2Batch(q, std::vector<std::vector<double>>{values});
+  const double one = one_advisor.EstimateLog2(q);
+  const std::vector<double> got = batch_advisor.EstimateLog2Batch(
+      q, std::vector<std::vector<double>>{values});
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], scalar);
+  EXPECT_EQ(got[0], one);
 }
 
 TEST(AdvisorBatch, EmptyQueryRidesBatchesWithUnitBound) {
@@ -650,10 +744,14 @@ TEST(AdvisorBatch, EmptyQueryRidesBatchesWithUnitBound) {
   const Query empty("empty");
   const Query q1 = Parse("R(X,Y), S(Y,Z)");
   const Query q2 = Parse("R(X,Y), S(Y,Z), T(Z,X)");
-  CardinalityAdvisor scalar_advisor(db);
-  EXPECT_EQ(scalar_advisor.EstimateLog2(empty), 0.0);
-  const double b1 = scalar_advisor.EstimateLog2(q1);
-  const double b2 = scalar_advisor.EstimateLog2(q2);
+  CardinalityAdvisor one_advisor(db);
+  EXPECT_EQ(one_advisor.EstimateLog2(empty), 0.0);
+  const CardinalityAdvisor::Explanation explained = one_advisor.Explain(empty);
+  EXPECT_TRUE(explained.bound.ok());
+  EXPECT_EQ(explained.bound.log2_bound, 0.0);
+  EXPECT_TRUE(explained.stats.empty());
+  const double b1 = one_advisor.EstimateLog2(q1);
+  const double b2 = one_advisor.EstimateLog2(q2);
 
   CardinalityAdvisor first_advisor(db);
   const std::vector<double> first =
