@@ -14,7 +14,10 @@ namespace lpb {
 
 class SetFunction {
  public:
-  SetFunction() : n_(0), h_(1, 0.0) {}
+  // Holds no storage (size() == 0): a placeholder, such as the h_opt of a
+  // bound that did not materialize one. SetFunction(0) is the function on
+  // zero variables, with its one entry h(∅).
+  SetFunction() : n_(0) {}
   explicit SetFunction(int n) : n_(n), h_(size_t{1} << n, 0.0) {}
 
   int num_vars() const { return n_; }

@@ -1,5 +1,6 @@
 #include "estimator/advisor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <utility>
@@ -132,6 +133,55 @@ std::vector<size_t> DistinctIds(size_t n, const Hash& hash,
   return ids;
 }
 
+// Fills the norms (at `norm_ps`) of every lookup of `keys` that missed.
+// Every missed key of one (relation, U ∪ V as a set) counts the same
+// distinct rows of that projection, so each such group is one
+// ComputeDegreeSequences call: one sort.
+void ComputeMissedNorms(const Catalog& catalog,
+                        const std::vector<double>& norm_ps,
+                        std::span<const ShardedNormCache::Key> keys,
+                        std::span<ShardedNormCache::Lookup> lookups) {
+  // Miss i's group is the key (relation, {}, U ∪ V sorted), so KeyHash and
+  // == group it; group_of[i] numbers groups in first-appearance order.
+  std::vector<size_t> missed;
+  std::vector<ShardedNormCache::Key> column_sets;
+  for (size_t s = 0; s < keys.size(); ++s) {
+    if (lookups[s].found) continue;
+    const auto& [relation, u_cols, v_cols] = keys[s];
+    std::vector<int> cols = u_cols;
+    cols.insert(cols.end(), v_cols.begin(), v_cols.end());
+    std::sort(cols.begin(), cols.end());
+    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+    missed.push_back(s);
+    column_sets.push_back({relation, {}, std::move(cols)});
+  }
+  const std::vector<size_t> group_of = DistinctIds(
+      missed.size(), [&](size_t i) { return KeyHash(column_sets[i]); },
+      [&](size_t a, size_t b) { return column_sets[a] == column_sets[b]; });
+  std::vector<std::vector<size_t>> members;
+  for (size_t i = 0; i < missed.size(); ++i) {
+    if (group_of[i] == members.size()) members.emplace_back();
+    members[group_of[i]].push_back(missed[i]);
+  }
+
+  for (const std::vector<size_t>& group : members) {
+    // The first key's U then V is the sort order, so that U leads.
+    const auto& [relation, first_u, first_v] = keys[group[0]];
+    std::vector<int> cols = first_u;
+    cols.insert(cols.end(), first_v.begin(), first_v.end());
+    std::vector<std::vector<int>> u_sets;
+    u_sets.reserve(group.size());
+    for (size_t s : group) u_sets.push_back(std::get<1>(keys[s]));
+    const std::vector<DegreeSequence> degs =
+        ComputeDegreeSequences(catalog.Get(relation), cols, u_sets);
+    for (size_t k = 0; k < group.size(); ++k) {
+      std::vector<double>& norms = lookups[group[k]].norms;
+      norms.reserve(norm_ps.size());
+      for (double p : norm_ps) norms.push_back(degs[k].Log2NormP(p));
+    }
+  }
+}
+
 }  // namespace
 
 CardinalityAdvisor::CardinalityAdvisor(const Catalog& catalog,
@@ -204,16 +254,12 @@ CardinalityAdvisor::AssembleStatisticsBatch(std::span<const Query> queries) {
   // concurrent Invalidate refuses the stale insert, and this batch still
   // serves its computed values.
   std::vector<ShardedNormCache::Lookup> lookups = norms_.GetBatch(distinct);
+  ComputeMissedNorms(catalog_, options_.norms, distinct, lookups);
   std::vector<ShardedNormCache::PutItem> puts;
   for (size_t s = 0; s < distinct.size(); ++s) {
-    if (lookups[s].found) continue;
-    const ShardedNormCache::Key& key = distinct[s];
-    const DegreeSequence deg = ComputeDegreeSequence(
-        catalog_.Get(std::get<0>(key)), std::get<1>(key), std::get<2>(key));
-    std::vector<double>& norms = lookups[s].norms;
-    norms.reserve(options_.norms.size());
-    for (double p : options_.norms) norms.push_back(deg.Log2NormP(p));
-    puts.push_back({key, norms, lookups[s].generation});
+    if (!lookups[s].found) {
+      puts.push_back({distinct[s], lookups[s].norms, lookups[s].generation});
+    }
   }
   if (!puts.empty()) norms_.PutBatch(std::move(puts));
 

@@ -130,9 +130,10 @@ class CardinalityAdvisor {
 
   // Front half of the estimate path: the statistics of many queries
   // through ONE norm-store GetBatch over the batch's distinct
-  // (relation, U, V) degree-sequence keys, plus one PutBatch for the
-  // misses. Per query: per atom, its cardinality assertion, then each
-  // variable's conditional at every maintained norm (none for 0 atoms).
+  // (relation, U, V) degree-sequence keys, one ComputeDegreeSequences call
+  // per (relation, U ∪ V) among the misses, and one PutBatch. Per query:
+  // per atom, its cardinality assertion, then each variable's conditional
+  // at every maintained norm (none for 0 atoms).
   std::vector<std::vector<ConcreteStatistic>> AssembleStatisticsBatch(
       std::span<const Query> queries);
 

@@ -54,18 +54,38 @@ class DegreeSequence {
   std::vector<uint64_t> degrees_;
 };
 
-// Computes deg_R(V|U) where u_cols/v_cols are column indices into `rel`
-// (disjoint). With u_cols empty the result is the single-element sequence
-// (|Π_V(R)|); duplicate (u,v) pairs in R are counted once.
+// Computes deg_R(cols∖U | U) for every U in `u_sets`, aligned with it.
+// `cols` lists column indices of `rel`, and each U is a subset of them;
+// U = ∅ gives the single-element sequence (|Π_cols(R)|).
+// Duplicate rows of Π_cols(R) are counted once.
 //
-// Algorithm: each column's bit width is that of its maximum value. When the
-// U ∪ V widths sum to at most 64 bits, every row is packed into one word,
-// U above V (Relation::SortedPackedRows), and the words are LSD-radix-sorted
-// over the used bits only. One linear scan then skips equal words
-// (duplicate edges) and groups on the U part, word >> (V bits). Wider keys
-// fall back to a comparator sort of row ids (Relation::SortedOrder) and the
-// same scan. Both paths give the same sequence; the choice depends only on
-// the data. Scratch memory is per call, so concurrent calls are safe.
+// Algorithm: every statistic of one column set counts the same distinct
+// rows of Π_cols(R), so the call sorts them once. Each column's bit width
+// is that of its maximum value. When the widths sum to at most 64 bits,
+// every row is packed into one word, cols[0] highest
+// (Relation::SortedPackedRows), the words are LSD-radix-sorted over the
+// used bits only, and equal words (duplicate rows) are dropped. Then, per U:
+//   U = ∅        -> the distinct count;
+//   U leads cols -> one run-length scan on the word's high bits;
+//   any other U  -> U's bits are gathered out of each distinct word and
+//                   counted per value: in a counting array when 2^bits(U)
+//                   is at most the distinct count (so scratch stays within
+//                   the input's size), else after a RadixSort of the
+//                   gathered values.
+// Wider keys fall back to a comparator sort of row ids
+// (Relation::SortedOrder) with the same distinct step, and per U a scan
+// when U leads, else a comparator sort of the distinct rows on U. Every
+// path yields the same degree multiset, which DegreeSequence sorts into the
+// same vector; the choice depends only on the data. Scratch memory is per
+// call, so concurrent calls are safe.
+std::vector<DegreeSequence> ComputeDegreeSequences(
+    const Relation& rel, const std::vector<int>& cols,
+    const std::vector<std::vector<int>>& u_sets);
+
+// deg_R(V|U) for column lists u_cols and v_cols (disjoint): the one-key
+// call of ComputeDegreeSequences, with cols = U then V, so U leads.
+// With u_cols empty the result is the single-element sequence (|Π_V(R)|);
+// duplicate (u,v) pairs in R are counted once.
 DegreeSequence ComputeDegreeSequence(const Relation& rel,
                                      const std::vector<int>& u_cols,
                                      const std::vector<int>& v_cols);

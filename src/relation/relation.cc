@@ -14,10 +14,11 @@ constexpr size_t kRadixMinRows = 256;
 // Widest radix digit: 2^11 counters per pass stay in L1.
 constexpr int kMaxDigitBits = 11;
 
-// Sorts `words` ascending; every word is below 2^bits. LSD radix sort with
-// the fewest passes of at most kMaxDigitBits bits. One read pass fills all
-// the passes' histograms, and a pass whose digit every word shares is
-// skipped.
+}  // namespace
+
+// LSD radix sort with the fewest passes of at most kMaxDigitBits bits. One
+// read pass fills all the passes' histograms, and a pass whose digit every
+// word shares is skipped.
 void RadixSort(std::vector<uint64_t>& words, int bits) {
   const size_t n = words.size();
   if (n < kRadixMinRows) {
@@ -50,8 +51,6 @@ void RadixSort(std::vector<uint64_t>& words, int bits) {
     words.swap(scratch);
   }
 }
-
-}  // namespace
 
 Relation::Relation(std::string name, std::vector<std::string> attrs)
     : name_(std::move(name)), attrs_(std::move(attrs)) {

@@ -17,6 +17,11 @@ namespace lpb {
 
 using Value = uint64_t;
 
+// Sorts `words` ascending; every word must be below 2^bits (bits <= 64).
+// An LSD radix sort over the used bits only (a comparison sort below a few
+// hundred words).
+void RadixSort(std::vector<uint64_t>& words, int bits);
+
 class Relation {
  public:
   Relation() = default;

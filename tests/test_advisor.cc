@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "datagen/job_gen.h"
@@ -310,6 +313,101 @@ TEST(Advisor, IterationLimitReadsAsCannotBound) {
   for (double v : advisor.EstimateLog2Batch(std::vector<Query>{q, q})) {
     EXPECT_EQ(v, kInfNorm);
   }
+}
+
+// Columns of `atom` bound to the variables of `s`, in variable order.
+std::vector<int> AtomColumns(const Atom& atom, VarSet s) {
+  std::vector<int> cols;
+  for (int v : VarRange(s)) {
+    for (size_t j = 0; j < atom.vars.size(); ++j) {
+      if (atom.vars[j] == v) {
+        cols.push_back(static_cast<int>(j));
+        break;
+      }
+    }
+  }
+  return cols;
+}
+
+TEST(AdvisorBatchAssembly, GroupedMissesAreBitwiseTheDegreeSequenceNorms) {
+  // Misses of one (relation, column set) share one sort. One batch mixes a
+  // self-join reading R through both column orders (four keys of R's one
+  // column set: two cardinality orders and two conditionals), a one-column
+  // relation A, a zero-row relation Z, and S; R and S are then swapped for
+  // new data and invalidated together.
+  Catalog db = SmallDb(11);
+  Relation a("A", {"x"});
+  for (Value v : {3, 1, 4, 1, 5, 9, 2, 6}) a.AddRow({v});
+  db.Add(std::move(a));
+  db.Add(Relation("Z", {"x", "y"}));
+  const std::vector<Query> batch = {Parse("R(X,Y), R(Y,X)"),
+                                    Parse("S(X,Y), A(Y)"),
+                                    Parse("Z(X,Y), S(Y,W), A(W)")};
+  const std::vector<double> norms = AdvisorOptions{}.norms;
+
+  // Every statistic's log_b for `query` from ComputeDegreeSequence, in
+  // assembly order; also records each relation's distinct (U, V) keys.
+  using Key = std::pair<std::vector<int>, std::vector<int>>;
+  std::map<std::string, std::set<Key>> keys;
+  const auto expected_log_b = [&](const Query& query) {
+    std::vector<double> out;
+    for (const Atom& atom : query.atoms()) {
+      const Relation& rel = db.Get(atom.relation);
+      const VarSet vars = atom.var_set();
+      const std::vector<int> all = AtomColumns(atom, vars);
+      keys[atom.relation].insert({{}, all});
+      out.push_back(ComputeDegreeSequence(rel, {}, all).Log2NormP(1.0));
+      for (int v : VarRange(vars)) {
+        const VarSet rest = vars & ~VarBit(v);
+        if (rest == 0) continue;
+        const std::vector<int> u = AtomColumns(atom, VarBit(v));
+        const std::vector<int> w = AtomColumns(atom, rest);
+        keys[atom.relation].insert({u, w});
+        const DegreeSequence deg = ComputeDegreeSequence(rel, u, w);
+        for (double p : norms) out.push_back(deg.Log2NormP(p));
+      }
+    }
+    return out;
+  };
+  CardinalityAdvisor advisor(db);
+  const auto check = [&](const char* phase) {
+    const auto got = advisor.AssembleStatisticsBatch(batch);
+    ASSERT_EQ(got.size(), batch.size());
+    for (size_t q = 0; q < batch.size(); ++q) {
+      const std::vector<double> want = expected_log_b(batch[q]);
+      ASSERT_EQ(got[q].size(), want.size()) << phase << " query " << q;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[q][i].log_b, want[i])  // bitwise, -inf for Z
+            << phase << " query " << q << " stat " << i;
+      }
+    }
+  };
+  check("cold");
+  ASSERT_EQ(keys["R"].size(), 4u);
+  ASSERT_EQ(keys["S"].size(), 3u);
+  ASSERT_EQ(keys["A"].size(), 1u);
+  ASSERT_EQ(keys["Z"].size(), 3u);
+
+  // New data for R and S, invalidated together: the next batch misses
+  // exactly their distinct keys and hits every other one.
+  const Catalog fresh = SmallDb(12);
+  *db.GetMutable("R") = fresh.Get("R");
+  *db.GetMutable("S") = fresh.Get("S");
+  advisor.Invalidate("R");
+  advisor.Invalidate("S");
+  const AdvisorMetrics before = advisor.metrics();
+  check("invalidated");
+  const AdvisorMetrics after = advisor.metrics();
+  EXPECT_EQ(after.norm_misses - before.norm_misses,
+            keys["R"].size() + keys["S"].size());
+  EXPECT_EQ(after.norm_hits - before.norm_hits,
+            keys["A"].size() + keys["Z"].size());
+
+  // A repeat call hits on every key.
+  check("repeat");
+  const AdvisorMetrics repeat = advisor.metrics();
+  EXPECT_EQ(repeat.norm_misses, after.norm_misses);
+  EXPECT_EQ(repeat.norm_hits - after.norm_hits, 11u);
 }
 
 }  // namespace

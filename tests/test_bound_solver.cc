@@ -290,7 +290,18 @@ TEST(CompiledBound, SkippingHOptKeepsBoundAndWeights) {
   EXPECT_NEAR(lean.log2_bound, rich.log2_bound, 1e-9);
   EXPECT_EQ(lean.weights.size(), rich.weights.size());
   EXPECT_EQ(lean.h_opt.num_vars(), 0);   // not materialized
+  EXPECT_EQ(lean.h_opt.size(), 0u);
   EXPECT_EQ(rich.h_opt.num_vars(), 3);
+}
+
+TEST(CompiledBound, DefaultResultHoldsNoSetFunctionStorage) {
+  // Batch evaluation fills vectors of default results and overwrites them,
+  // so a default BoundResult's h_opt must not allocate. SetFunction(0), the
+  // function on zero variables, keeps its one entry h(∅).
+  EXPECT_EQ(BoundResult{}.h_opt.size(), 0u);
+  EXPECT_EQ(SetFunction().size(), 0u);
+  EXPECT_EQ(SetFunction(0).size(), 1u);
+  EXPECT_EQ(SetFunction(0)[0], 0.0);
 }
 
 // --- One-shot bounds: ComputeBound is a compile plus one evaluate --------

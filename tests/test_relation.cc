@@ -410,6 +410,126 @@ TEST(DegreeSequenceDifferential, Log2NormIsBitwisePerEntryFormula) {
   }
 }
 
+// Every U ⊆ cols with |U| <= 2, ∅ first: the empty U, the leading
+// prefixes {cols[0]} and {cols[0], cols[1]}, and the rest, which do not
+// lead. Pairs are listed in reverse column order, so U's order differs from
+// its order in cols.
+std::vector<std::vector<int>> SmallSubsets(const std::vector<int>& cols) {
+  std::vector<std::vector<int>> out = {{}};
+  for (size_t i = 0; i < cols.size(); ++i) out.push_back({cols[i]});
+  for (size_t i = 0; i < cols.size(); ++i) {
+    for (size_t j = i + 1; j < cols.size(); ++j) {
+      out.push_back({cols[j], cols[i]});
+    }
+  }
+  return out;
+}
+
+// One grouped call over every small U of `cols` against one brute-force
+// reference per key, degrees exactly and norms bitwise.
+void ExpectGroupedMatchesReference(const Relation& r,
+                                   const std::vector<int>& cols) {
+  const std::vector<std::vector<int>> u_sets = SmallSubsets(cols);
+  const std::vector<DegreeSequence> got =
+      ComputeDegreeSequences(r, cols, u_sets);
+  ASSERT_EQ(got.size(), u_sets.size());
+  for (size_t k = 0; k < u_sets.size(); ++k) {
+    const std::vector<int>& u = u_sets[k];
+    std::vector<int> v;
+    for (int c : cols) {
+      if (std::find(u.begin(), u.end(), c) == u.end()) v.push_back(c);
+    }
+    SCOPED_TRACE("key " + std::to_string(k));
+    ASSERT_EQ(got[k].degrees(), ReferenceDegrees(r, u, v));
+    for (double p : kDiffNorms) {
+      EXPECT_EQ(got[k].Log2NormP(p), PerEntryLog2Norm(got[k].degrees(), p))
+          << "p=" << p;
+    }
+  }
+}
+
+TEST(DegreeSequenceDifferential, GroupedKernelMatchesBruteForce) {
+  const uint64_t seed = DiffSeed();
+  Rng rng(seed + 2);
+  constexpr int kWidths[] = {0, 1, 3, 8, 16, 24, 32, 40, 63, 64};
+  constexpr size_t kRows[] = {0, 1, 2, 17, 255, 256, 257, 1000, 3000};
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE("LPB_DIFF_SEED=" + std::to_string(seed) +
+                 " trial=" + std::to_string(trial));
+    const int arity = 1 + static_cast<int>(rng.Uniform(4));
+    std::vector<int> widths(arity);
+    for (int& w : widths) w = kWidths[rng.Uniform(std::size(kWidths))];
+    const Relation r =
+        RandomRelation(rng, widths, kRows[rng.Uniform(std::size(kRows))]);
+    // A random order of a random non-empty subset of the columns.
+    std::vector<int> cols(arity);
+    for (int c = 0; c < arity; ++c) cols[c] = c;
+    for (int c = arity - 1; c > 0; --c) {
+      std::swap(cols[c], cols[rng.Uniform(c + 1)]);
+    }
+    cols.resize(1 + rng.Uniform(arity));
+    ExpectGroupedMatchesReference(r, cols);
+  }
+}
+
+TEST(DegreeSequenceDifferential, GroupedKernelPathsAndEdges) {
+  Rng rng(DiffSeed() + 3);
+  std::vector<uint64_t> words;
+  std::vector<int> widths;
+
+  // 3000 distinct rows, each twice, over a 3-bit column and a 24-bit one
+  // whose 500 values each pair with 6 small ones. Sorted as (small, large),
+  // U = {large} has 2^24 possible values, more than the distinct count:
+  // the projected radix sort. Sorted as (large, small), U = {small} fits a
+  // counting array. Each order's leading U takes the scan.
+  Relation paths("P", {"small", "large"});
+  for (Value i = 0; i < 3000; ++i) {
+    const Value large = ((i % 500) * 2654435761u) & 0xFFFFFF;
+    paths.AddRow({i % 7, large});
+    paths.AddRow({i % 7, large});
+  }
+  paths.AddRow({0, Value{1} << 23});
+  ExpectGroupedMatchesReference(paths, {0, 1});
+  ExpectGroupedMatchesReference(paths, {1, 0});
+
+  // 0 rows: every key is the empty sequence, whose norms are -inf.
+  const Relation empty = RandomRelation(rng, {8, 3, 16}, 0);
+  const std::vector<DegreeSequence> none =
+      ComputeDegreeSequences(empty, {2, 0, 1}, SmallSubsets({2, 0, 1}));
+  ASSERT_EQ(none.size(), 7u);
+  for (const DegreeSequence& d : none) {
+    EXPECT_TRUE(d.empty());
+    for (double p : kDiffNorms) EXPECT_EQ(d.Log2NormP(p), -kInfNorm);
+  }
+  ExpectGroupedMatchesReference(empty, {2, 0, 1});
+
+  for (size_t rows : {size_t{40}, size_t{2000}}) {
+    SCOPED_TRACE("rows=" + std::to_string(rows));
+    // An all-zero (0-bit) column leading, inside and trailing the order,
+    // with duplicate rows.
+    const Relation zero = RandomRelation(rng, {0, 8, 5}, rows);
+    ExpectGroupedMatchesReference(zero, {0, 1, 2});
+    ExpectGroupedMatchesReference(zero, {1, 0, 2});
+    ExpectGroupedMatchesReference(zero, {1, 2, 0});
+
+    // A 64-bit column beside all-zero ones: exactly 64 packed bits, so V
+    // or U can hold all of them.
+    Relation full = RandomRelation(rng, {64, 0, 0}, rows);
+    full.AddRow({~Value{0}, 0, 0});
+    ASSERT_TRUE(full.SortedPackedRows({1, 0, 2}, words, widths));
+    ExpectGroupedMatchesReference(full, {1, 0, 2});
+    ExpectGroupedMatchesReference(full, {0, 1, 2});
+    ExpectGroupedMatchesReference(full, {2, 1, 0});
+
+    // 40 + 30 + 3 = 73 bits: the comparator fallback, for leading and
+    // non-leading U alike.
+    const Relation wide = RandomRelation(rng, {40, 30, 3}, rows);
+    EXPECT_FALSE(wide.SortedPackedRows({0, 1, 2}, words, widths));
+    ExpectGroupedMatchesReference(wide, {0, 1, 2});
+    ExpectGroupedMatchesReference(wide, {2, 1, 0});
+  }
+}
+
 TEST(Catalog, AddGetHas) {
   Catalog c;
   c.Add(EdgeRelation());
