@@ -4,6 +4,8 @@
 #include <cmath>
 #include <vector>
 
+#include "relation/degree_sequence.h"
+
 namespace lpb {
 
 SetFunction EntropyOfRelation(const Relation& rel) {
@@ -49,7 +51,7 @@ bool IsTotallyUniform(const Relation& rel, double eps) {
     std::vector<int> cols;
     for (int c : VarRange(s)) cols.push_back(c);
     const double log_proj =
-        std::log2(static_cast<double>(dedup.DistinctCount(cols)));
+        std::log2(static_cast<double>(DistinctCount(dedup, cols)));
     if (std::abs(log_proj - h[s]) > eps) return false;
   }
   return true;

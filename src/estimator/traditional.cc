@@ -5,6 +5,8 @@
 #include <limits>
 #include <vector>
 
+#include "relation/degree_sequence.h"
+
 namespace lpb {
 
 double TraditionalEstimateLog2(const Query& query, const Catalog& catalog) {
@@ -23,7 +25,7 @@ double TraditionalEstimateLog2(const Query& query, const Catalog& catalog) {
       for (size_t j = 0; j < atom.vars.size(); ++j) {
         if (atom.vars[j] == v) {
           distinct.push_back(static_cast<double>(
-              rel.DistinctCount({static_cast<int>(j)})));
+              DistinctCount(rel, {static_cast<int>(j)})));
           break;
         }
       }

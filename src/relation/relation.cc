@@ -143,25 +143,6 @@ bool Relation::SortedPackedRows(const std::vector<int>& cols,
   return true;
 }
 
-size_t Relation::DistinctCount(const std::vector<int>& cols) const {
-  if (num_rows_ == 0) return 0;
-  std::vector<uint64_t> words;
-  std::vector<int> widths;
-  if (SortedPackedRows(cols, words, widths)) {
-    size_t distinct = 1;
-    for (size_t i = 1; i < words.size(); ++i) {
-      distinct += words[i] != words[i - 1];
-    }
-    return distinct;
-  }
-  std::vector<uint32_t> order = SortedOrder(cols);
-  size_t distinct = 1;
-  for (size_t i = 1; i < order.size(); ++i) {
-    if (!RowsEqualOn(order[i - 1], order[i], cols)) ++distinct;
-  }
-  return distinct;
-}
-
 Relation Relation::Project(const std::vector<int>& cols) const {
   std::vector<std::string> names;
   names.reserve(cols.size());

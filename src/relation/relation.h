@@ -50,9 +50,6 @@ class Relation {
   // Row indices sorted lexicographically by the given columns.
   std::vector<uint32_t> SortedOrder(const std::vector<int>& cols) const;
 
-  // Number of distinct values of the given column tuple.
-  size_t DistinctCount(const std::vector<int>& cols) const;
-
   // The rows projected onto `cols`, packed one row per word and sorted:
   // cols[0] in the highest bits, cols.back() in the lowest, each column in
   // the bit width of its maximum value (written to `widths`, aligned with

@@ -1,9 +1,8 @@
 #include "stats/collector.h"
 
-#include <algorithm>
 #include <cassert>
 #include <map>
-#include <utility>
+#include <tuple>
 
 #include "relation/degree_sequence.h"
 
@@ -28,14 +27,19 @@ std::vector<int> ColumnsOfVarSet(const Atom& atom, VarSet s) {
   return cols;
 }
 
-// The sorted columns of `cols`: a column set, whatever the atom's order.
-std::vector<int> SortedColumns(std::vector<int> cols) {
-  std::sort(cols.begin(), cols.end());
-  return cols;
-}
+using CacheKey = std::tuple<std::string, std::vector<int>, std::vector<int>>;
 
-// deg(cols∖U | U) per U of one atom, keyed by U's sorted columns.
-using AtomDegrees = std::map<std::vector<int>, DegreeSequence>;
+const DegreeSequence& CachedDegrees(const Relation& rel,
+                                    const std::vector<int>& u_cols,
+                                    const std::vector<int>& v_cols,
+                                    std::map<CacheKey, DegreeSequence>& cache) {
+  CacheKey key{rel.name(), u_cols, v_cols};
+  auto it = cache.find(key);
+  if (it == cache.end()) {
+    it = cache.emplace(key, ComputeDegreeSequence(rel, u_cols, v_cols)).first;
+  }
+  return it->second;
+}
 
 }  // namespace
 
@@ -43,48 +47,36 @@ std::vector<ConcreteStatistic> CollectStatistics(
     const Query& query, const Catalog& catalog,
     const CollectorOptions& options) {
   std::vector<ConcreteStatistic> stats;
-  // One grouped kernel call per (relation, column set): a self-join's atoms
-  // over the same columns, in any order, share it.
-  std::map<std::pair<std::string, std::vector<int>>, AtomDegrees> cache;
-  // A cardinality assertion is one ℓ1 statistic; a conditional gets every
-  // requested norm.
-  const std::vector<double> cardinality_norm = {1.0};
+  std::map<CacheKey, DegreeSequence> cache;
 
   for (int a = 0; a < query.num_atoms(); ++a) {
     const Atom& atom = query.atom(a);
     const Relation& rel = catalog.Get(atom.relation);
     const VarSet atom_vars = atom.var_set();
-    const std::vector<int> cols = ColumnsOfVarSet(atom, atom_vars);
 
-    // The conditioning sets this atom reads, in emission order: ∅ for the
-    // cardinality, then every U with 0 < |U| <= max_u_size and V ≠ ∅.
-    std::vector<VarSet> us;
-    if (options.include_cardinalities) us.push_back(0);
+    if (options.include_cardinalities) {
+      const std::vector<int> v_cols = ColumnsOfVarSet(atom, atom_vars);
+      const DegreeSequence& deg = CachedDegrees(rel, {}, v_cols, cache);
+      ConcreteStatistic stat;
+      stat.sigma = Conditional{0, atom_vars};
+      stat.p = 1.0;
+      stat.log_b = deg.Log2NormP(1.0);
+      stat.guard_atom = a;
+      stat.label = ToString(stat, query);
+      stats.push_back(std::move(stat));
+    }
+
     for (VarSet u : SubsetRange(atom_vars)) {
       const int usize = SetSize(u);
       if (usize == 0 || usize > options.max_u_size) continue;
-      if ((atom_vars & ~u) == 0) continue;
-      us.push_back(u);
-    }
-    auto [it, fresh] = cache.try_emplace({rel.name(), SortedColumns(cols)});
-    AtomDegrees& degrees = it->second;
-    if (fresh) {
-      std::vector<std::vector<int>> u_sets;
-      for (VarSet u : us) u_sets.push_back(ColumnsOfVarSet(atom, u));
-      std::vector<DegreeSequence> computed =
-          ComputeDegreeSequences(rel, cols, u_sets);
-      for (size_t k = 0; k < us.size(); ++k) {
-        degrees.emplace(SortedColumns(u_sets[k]), std::move(computed[k]));
-      }
-    }
-
-    for (VarSet u : us) {
-      const DegreeSequence& deg =
-          degrees.at(SortedColumns(ColumnsOfVarSet(atom, u)));
-      const Conditional sigma{u, atom_vars & ~u};
-      for (double p : u == 0 ? cardinality_norm : options.norms) {
+      const VarSet v = atom_vars & ~u;
+      if (v == 0) continue;
+      const std::vector<int> u_cols = ColumnsOfVarSet(atom, u);
+      const std::vector<int> v_cols = ColumnsOfVarSet(atom, v);
+      const DegreeSequence& deg = CachedDegrees(rel, u_cols, v_cols, cache);
+      for (double p : options.norms) {
         ConcreteStatistic stat;
-        stat.sigma = sigma;
+        stat.sigma = Conditional{u, v};
         stat.p = p;
         stat.log_b = deg.Log2NormP(p);
         stat.guard_atom = a;

@@ -11,6 +11,7 @@
 #include "exec/generic_join.h"
 #include "exec/yannakakis.h"
 #include "query/parser.h"
+#include "relation/degree_sequence.h"
 #include "bounds/bound_engine.h"
 #include "estimator/advisor.h"
 #include "stats/collector.h"
@@ -169,7 +170,7 @@ TEST(Advisor, CardinalityAssertionsSurviveNormsWithoutL1) {
     const Relation& rel = wl.catalog.Get(q3.atom(s.guard_atom).relation);
     std::vector<int> cols(rel.arity());
     for (int c = 0; c < rel.arity(); ++c) cols[c] = c;
-    const size_t distinct = rel.DistinctCount(cols);
+    const size_t distinct = DistinctCount(rel, cols);
     EXPECT_EQ(s.log_b, std::log2(static_cast<double>(distinct)));
   }
   EXPECT_EQ(cardinalities, q3.num_atoms());

@@ -125,7 +125,7 @@ TEST(DegreeRealize, SharedPoolBoundsRightSide) {
       RealizeDegreeSequence("R", degrees, PartnerMode::kSharedPool, 4);
   DegreeSequence d = ComputeDegreeSequence(r, {0}, {1});
   EXPECT_EQ(d.degrees(), (std::vector<uint64_t>{4, 4, 4}));
-  EXPECT_EQ(r.DistinctCount({1}), 4u);  // only 4 right values exist
+  EXPECT_EQ(DistinctCount(r, {1}), 4u);  // only 4 right values exist
 }
 
 TEST(JobGen, WorkloadShape) {
@@ -164,7 +164,7 @@ TEST(JobGen, TitleIsAKey) {
   opt.scale = 0.05;
   JobWorkload wl = GenerateJobWorkload(opt);
   const Relation& title = wl.catalog.Get("title");
-  EXPECT_EQ(title.DistinctCount({0}), title.NumRows());
+  EXPECT_EQ(DistinctCount(title, {0}), title.NumRows());
   // So ||deg_title(kind|id)||_∞ = 1: the paper's key/FK observation.
   DegreeSequence d = ComputeDegreeSequence(title, {0}, {1});
   EXPECT_EQ(d.MaxDegree(), 1u);
