@@ -67,8 +67,11 @@ class DegreeSequence {
 // used bits only, and equal words (duplicate rows) are dropped. Then, per U:
 //   U = ∅        -> the distinct count;
 //   U leads cols -> one run-length scan on the word's high bits;
-//   any other U  -> U's bits are gathered out of each distinct word,
-//                   RadixSort-ed, and counted in one run-length scan.
+//   any other U  -> U's bits are gathered out of each distinct word and
+//                   counted per value: in a counting array when 2^bits(U)
+//                   is at most the distinct count (so scratch stays within
+//                   the input's size), else after a RadixSort of the
+//                   gathered values.
 // Wider keys fall back to a comparator sort of row ids
 // (Relation::SortedOrder) with the same distinct step, and per U a scan
 // when U leads, else a comparator sort of the distinct rows on U. Every

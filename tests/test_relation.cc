@@ -478,9 +478,10 @@ TEST(DegreeSequenceDifferential, GroupedKernelPathsAndEdges) {
   std::vector<int> widths;
 
   // 3000 distinct rows, each twice, over a 3-bit column and a 24-bit one
-  // whose 500 values each pair with 6 small ones. In each order the
-  // leading U takes the scan and the trailing one the projected radix sort,
-  // over 24 gathered bits (several radix passes) or over 3 (one).
+  // whose 500 values each pair with 6 small ones. Sorted as (small, large),
+  // U = {large} has 2^24 possible values, more than the distinct count:
+  // the projected radix sort. Sorted as (large, small), U = {small} fits a
+  // counting array. Each order's leading U takes the scan.
   Relation paths("P", {"small", "large"});
   for (Value i = 0; i < 3000; ++i) {
     const Value large = ((i % 500) * 2654435761u) & 0xFFFFFF;
