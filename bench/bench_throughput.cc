@@ -22,17 +22,15 @@
 //
 // A second, pivot-count workload complements the throughput regimes: the
 // fixed-seed cutting-plane Γn compile at n = 8 (the revised simplex's
-// flagship LP) runs warm-append and cold-growth lanes under both pricing
-// rules (Dantzig and Devex, lp/revised_simplex.h) and reports total
-// simplex pivots, basis refactorizations, and the warm row-append
+// flagship LP) runs a warm-append lane and a cold-growth lane and reports
+// total simplex pivots, basis refactorizations, and the warm row-append
 // counters from LpSolveStats. Pivot counts are deterministic for a fixed
-// seed, so the CI gate can assert on iteration counts — devex must beat
-// dantzig on the cold lanes (warm rounds repair via dual simplex, where
-// column pricing plays no part), and the warm lanes must pivot well
-// under the cold ones — rather than on machine-dependent wall-clock
-// alone. A one-seed n = 10 lane rides the same harness: warm row appends
-// are what make that compile take seconds rather than minutes, and the
-// gate pins its pivot count plus a loose wall-clock ceiling. A
+// seed, so the CI gate can assert on iteration counts — the warm lane
+// must pivot well under the cold one — rather than on machine-dependent
+// wall-clock alone. A one-seed n = 10 lane rides the same harness: warm
+// row appends are what make that compile take seconds rather than
+// minutes, and the gate pins its pivot count plus a loose wall-clock
+// ceiling. A
 // cutting-plane batch regime (shared cut pool + multi-RHS resolve vs the
 // scalar evaluate sequence, steady state) rounds out the table; its
 // batch/scalar ratio is gated at >= 2x.
@@ -51,10 +49,9 @@
 // against bench/baseline_throughput.json: warm or batch cold-normalized
 // throughput (the "speedup" field) >25% below baseline fails the
 // workflow, as does batch < 2x scalar warm, a gamma_n8/gamma_n10
-// pivot-count regression >15%, devex needing more than
-// --max-devex-ratio of the cold dantzig lane's pivots, warm appends
-// needing more than --max-warm-cold-ratio of the cold-growth pivots, a
-// gamma_n10 compile over the wall-clock ceiling, or the cut batch under
+// pivot-count regression >15%, warm appends needing more than
+// --max-warm-cold-ratio of the cold-growth pivots, a gamma_n10 compile
+// over the wall-clock ceiling, or the cut batch under
 // --min-cut-batch-ratio of its scalar rate; raw est/s is informational
 // (machine-dependent) unless --strict-absolute.
 #include <benchmark/benchmark.h>
@@ -308,18 +305,17 @@ RegimeRun MeasureBatch(const char* label, int repeats,
 
 // ---------------------------------------------------------------------------
 // Fixed-seed Γn pivot workload: compile the cutting-plane bound at n = 8
-// under one pricing rule and count the LP work. Pivot counts are
-// deterministic per seed (no wall-clock in the loop), which is what lets
-// compare_throughput.py gate on them.
+// and count the LP work. Pivot counts are deterministic per seed (no
+// wall-clock in the loop), which is what lets compare_throughput.py gate
+// on them.
 
 struct GammaRun {
-  const char* pricing;
+  const char* label;  // the lane's JSON "pricing" key
   uint64_t pivots = 0;
   uint64_t phase1 = 0, phase2 = 0, dual = 0;
   uint64_t refactorizations = 0;
   uint64_t ft_updates = 0;
   uint64_t rejected = 0;
-  uint64_t devex_resets = 0;
   // Cut-growth accounting (lp/simplex.h): rounds served by the warm
   // row-append path, dual pivots spent repairing appended rows, rows
   // appended, and appends whose LU fill forced a refactorization.
@@ -338,23 +334,20 @@ std::vector<ConcreteStatistic> GammaStats(uint64_t seed, int n, int count) {
   return RandomSimpleGammaStats(rng, n, count);
 }
 
-GammaRun MeasureGammaPivots(PricingRule rule, const char* label, int n,
+GammaRun MeasureGammaPivots(const char* label, int n,
                             std::initializer_list<uint64_t> seeds,
                             int stat_count,
                             CutWarmStart warm_start = CutWarmStart::kOn) {
   GammaRun run;
-  run.pricing = label;
+  run.label = label;
   auto t0 = std::chrono::steady_clock::now();
   for (uint64_t seed : seeds) {
     const std::vector<ConcreteStatistic> stats =
         GammaStats(12345 ^ seed, n, stat_count);
     EngineOptions cut;
     cut.full_lattice_max_n = 4;  // force cutting-plane mode
-    cut.simplex.pricing = rule;
-    // The *_cold lanes pin kOff: they measure the recompile-per-round
-    // growth loop, where column pricing still differentiates the rules
-    // (warm appends repair via dual simplex, so the warm lanes pivot
-    // identically under either rule).
+    // The dantzig_cold lane pins kOff: it measures the recompile-per-round
+    // growth loop the warm lanes are gated against.
     cut.simplex.cut_warm_start = warm_start;
     auto compiled =
         FindBoundEngine("gamma")->Compile(StructureOf(n, stats), cut);
@@ -373,7 +366,6 @@ GammaRun MeasureGammaPivots(PricingRule rule, const char* label, int n,
           static_cast<uint64_t>(r->lp_stats.refactorizations);
       run.ft_updates += static_cast<uint64_t>(r->lp_stats.ft_updates);
       run.rejected += static_cast<uint64_t>(r->lp_stats.rejected_updates);
-      run.devex_resets += static_cast<uint64_t>(r->lp_stats.devex_resets);
       run.warm_cut_rounds += static_cast<uint64_t>(r->lp_stats.warm_cut_rounds);
       run.dual_repair_pivots +=
           static_cast<uint64_t>(r->lp_stats.dual_repair_pivots);
@@ -861,28 +853,22 @@ void PrintTable() {
   for (RegimeRun& run : jitter_runs) run.speedup = run.est_per_s / cold_rate;
 
   // Pivot-count workload: the fixed-seed Γn cutting-plane compile at
-  // n = 8, once per pricing rule.
+  // n = 8, warm-append and cold-growth.
   std::vector<GammaRun> gamma_runs = {
-      MeasureGammaPivots(PricingRule::kDantzig, "dantzig", 8,
-                         {0x5151ull, 0x1234ull, 0x9999ull}, 12),
-      MeasureGammaPivots(PricingRule::kDevex, "devex", 8,
-                         {0x5151ull, 0x1234ull, 0x9999ull}, 12),
-      // Cold-growth lanes (cut_warm_start off): the recompile-per-round
-      // loop the devex-vs-dantzig pricing bar was calibrated on, and the
-      // denominator for the warm-append pivot-drop gate.
-      MeasureGammaPivots(PricingRule::kDantzig, "dantzig_cold", 8,
-                         {0x5151ull, 0x1234ull, 0x9999ull}, 12,
-                         CutWarmStart::kOff),
-      MeasureGammaPivots(PricingRule::kDevex, "devex_cold", 8,
+      MeasureGammaPivots("dantzig", 8, {0x5151ull, 0x1234ull, 0x9999ull},
+                         12),
+      // Cold-growth lane (cut_warm_start off): the recompile-per-round
+      // loop, the denominator for the warm-append pivot-drop gate.
+      MeasureGammaPivots("dantzig_cold", 8,
                          {0x5151ull, 0x1234ull, 0x9999ull}, 12,
                          CutWarmStart::kOff),
   };
   // The n = 10 lane exists because warm row appends make it affordable at
   // all — the pre-append cold-growth loop re-solved two-phase per round
-  // and took minutes here. One seed, devex: the gate pins pivots (exact)
-  // and a generous wall-clock ceiling (machine-dependent).
+  // and took minutes here. One seed: the gate pins pivots (exact) and a
+  // generous wall-clock ceiling (machine-dependent).
   std::vector<GammaRun> gamma10_runs = {
-      MeasureGammaPivots(PricingRule::kDevex, "devex", 10, {0x5151ull}, 14),
+      MeasureGammaPivots("dantzig", 10, {0x5151ull}, 14),
   };
   // Cutting-plane batch regime: shared cut pool + multi-RHS resolve vs the
   // scalar evaluate sequence, steady state.
@@ -920,17 +906,16 @@ void PrintTable() {
   auto print_gamma = [](const GammaRun& run) {
     std::printf(
         "%-28s pivots=%-6llu (p1=%llu p2=%llu dual=%llu)  refac=%llu "
-        "ft=%llu rejected=%llu resets=%llu\n"
+        "ft=%llu rejected=%llu\n"
         "%-28s warm_rounds=%llu repair=%llu appends=%llu append_refac=%llu  "
         "%.2fs\n",
-        run.pricing, static_cast<unsigned long long>(run.pivots),
+        run.label, static_cast<unsigned long long>(run.pivots),
         static_cast<unsigned long long>(run.phase1),
         static_cast<unsigned long long>(run.phase2),
         static_cast<unsigned long long>(run.dual),
         static_cast<unsigned long long>(run.refactorizations),
         static_cast<unsigned long long>(run.ft_updates),
-        static_cast<unsigned long long>(run.rejected),
-        static_cast<unsigned long long>(run.devex_resets), "",
+        static_cast<unsigned long long>(run.rejected), "",
         static_cast<unsigned long long>(run.warm_cut_rounds),
         static_cast<unsigned long long>(run.dual_repair_pivots),
         static_cast<unsigned long long>(run.row_appends),
@@ -939,15 +924,11 @@ void PrintTable() {
   };
   std::printf("\n== Cutting-plane Gamma_n pivot counts, n = 8, 3 seeds ==\n");
   for (const GammaRun& run : gamma_runs) print_gamma(run);
-  if (gamma_runs.size() == 4 && gamma_runs[2].pivots > 0) {
-    std::printf("%-28s %14.2f  (cold-growth devex / dantzig pivots)\n",
-                "devex/dantzig (cold)",
-                static_cast<double>(gamma_runs[3].pivots) /
-                    static_cast<double>(gamma_runs[2].pivots));
-    std::printf("%-28s %14.2f  (warm-append devex / cold devex pivots)\n",
-                "warm/cold (devex)",
-                static_cast<double>(gamma_runs[1].pivots) /
-                    static_cast<double>(gamma_runs[3].pivots));
+  if (gamma_runs[1].pivots > 0) {
+    std::printf("%-28s %14.2f  (warm-append / cold-growth pivots)\n",
+                "warm/cold (dantzig)",
+                static_cast<double>(gamma_runs[0].pivots) /
+                    static_cast<double>(gamma_runs[1].pivots));
   }
   std::printf("\n== Cutting-plane Gamma_n pivot counts, n = 10, 1 seed ==\n");
   for (const GammaRun& run : gamma10_runs) print_gamma(run);
@@ -1044,18 +1025,17 @@ void PrintTable() {
               "    {\"pricing\": \"%s\", \"pivots\": %llu, "
               "\"phase1\": %llu, \"phase2\": %llu, \"dual\": %llu, "
               "\"refactorizations\": %llu, \"ft_updates\": %llu, "
-              "\"rejected_updates\": %llu, \"devex_resets\": %llu, "
+              "\"rejected_updates\": %llu, "
               "\"warm_cut_rounds\": %llu, \"dual_repair_pivots\": %llu, "
               "\"row_appends\": %llu, \"append_refactorizations\": %llu, "
               "\"seconds\": %.3f}%s\n",
-              run.pricing, static_cast<unsigned long long>(run.pivots),
+              run.label, static_cast<unsigned long long>(run.pivots),
               static_cast<unsigned long long>(run.phase1),
               static_cast<unsigned long long>(run.phase2),
               static_cast<unsigned long long>(run.dual),
               static_cast<unsigned long long>(run.refactorizations),
               static_cast<unsigned long long>(run.ft_updates),
               static_cast<unsigned long long>(run.rejected),
-              static_cast<unsigned long long>(run.devex_resets),
               static_cast<unsigned long long>(run.warm_cut_rounds),
               static_cast<unsigned long long>(run.dual_repair_pivots),
               static_cast<unsigned long long>(run.row_appends),

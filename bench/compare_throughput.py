@@ -4,7 +4,7 @@
 Usage:
     compare_throughput.py BASELINE.json NEW.json [--tolerance 0.25]
                           [--min-batch-speedup 2.0] [--strict-absolute]
-                          [--pivot-tolerance 0.15] [--max-devex-ratio 0.85]
+                          [--pivot-tolerance 0.15]
                           [--kernel-share-tolerance 0.25]
                           [--kernel-calls-tolerance 0.25]
 
@@ -15,7 +15,7 @@ Fails (exit 1) when
   * the batch regime serves fewer than --min-batch-speedup times the
     scalar warm regime's estimates/s (the batch evaluation acceptance
     bar), or
-  * a gamma_n8 or gamma_n10 pricing lane's total simplex pivot count
+  * a gamma_n8 or gamma_n10 lane's total simplex pivot count
     grows more than --pivot-tolerance above its baseline (the fixed-seed
     cutting-plane Γn compiles — pivot counts are deterministic per seed,
     so this gates the simplex's iteration count, not wall-clock; the
@@ -44,16 +44,10 @@ Fails (exit 1) when
     --tolerance below the baseline's (skipped with a note when the
     baseline predates the serve section), or any
     requests were rejected (shutdown races the measured window), or
-  * the devex_cold lane needs more than --max-devex-ratio of the
-    dantzig_cold lane's pivots (the Devex pricing acceptance bar:
-    measured ~0.73 at introduction, i.e. ~27% fewer pivots than the
-    candidate-list Dantzig lane. The bar moved to the cold-growth lanes
-    when warm row appends landed: warm rounds repair via dual simplex,
-    where column pricing plays no part), or
-  * the warm-append devex lane needs more than --max-warm-cold-ratio of
-    the cold-growth devex lane's pivots on the same seeds (the warm
-    row-append acceptance bar: measured ~0.15 at introduction — appended
-    rows enter with slacks basic on the previous optimum and dual simplex
+  * the warm-append dantzig lane needs more than --max-warm-cold-ratio
+    of the cold-growth dantzig_cold lane's pivots on the same seeds (the
+    warm row-append acceptance bar: measured ~0.15 — appended rows
+    enter with slacks basic on the previous optimum and dual simplex
     repairs only the violated rows, instead of a two-phase re-solve per
     cut round), or
   * a kernel's call count in a regime's table (a fixed number of workload
@@ -142,12 +136,9 @@ def main():
     parser.add_argument("--min-norm-hit-rate", type=float, default=0.5,
                         help="required norm-cache hit rate in the serve "
                              "regime's Zipf template mix")
-    parser.add_argument("--max-devex-ratio", type=float, default=0.85,
-                        help="max devex/dantzig pivot ratio on the "
-                             "gamma_n8 cold-growth lanes")
     parser.add_argument("--max-warm-cold-ratio", type=float, default=0.6,
                         help="max warm-append/cold-growth pivot ratio on "
-                             "the gamma_n8 devex lanes")
+                             "the gamma_n8 dantzig lanes")
     parser.add_argument("--kernel-share-tolerance", type=float, default=0.25,
                         help="allowed absolute growth of a kernel's share "
                              "of its regime's total kernel cycles")
@@ -276,33 +267,20 @@ def main():
                         f"{section}/{pricing}: compile took {seconds:.1f}s "
                         f"(ceiling {args.gamma_n10_max_seconds:.0f}s — warm "
                         f"row appends falling back to cold re-solves?)")
-    # The Devex pricing bar lives on the *cold-growth* lanes: warm row
-    # appends repair via dual simplex, so the warm lanes pivot identically
-    # under either pricing rule and say nothing about column pricing.
-    new_gamma = {run["pricing"]: run for run in new.get("gamma_n8", [])}
-    if "dantzig_cold" in new_gamma and "devex_cold" in new_gamma:
-        dantzig_p = new_gamma["dantzig_cold"]["pivots"]
-        devex_p = new_gamma["devex_cold"]["pivots"]
-        ratio = devex_p / dantzig_p if dantzig_p > 0 else float("inf")
-        print(f"{'gamma_n8 devex/dantzig (cold)':<34} {'':>12} {'':>12} "
-              f"{ratio:>7.2f}x")
-        if ratio > args.max_devex_ratio:
-            failures.append(
-                f"gamma_n8: cold-growth devex needs {ratio:.2f}x the "
-                f"dantzig pivots (max {args.max_devex_ratio:.2f}x)")
     # Warm-append pivot-drop bar: warm cut rounds must pivot at most
     # --max-warm-cold-ratio of the cold recompile loop on the same seeds
-    # (the row-append acceptance criterion; measured ~0.15 at
-    # introduction, i.e. ~85% fewer pivots).
-    if "devex" in new_gamma and "devex_cold" in new_gamma:
-        warm_p = new_gamma["devex"]["pivots"]
-        cold_p = new_gamma["devex_cold"]["pivots"]
+    # (the row-append acceptance criterion; measured ~0.15, i.e. ~85%
+    # fewer pivots).
+    new_gamma = {run["pricing"]: run for run in new.get("gamma_n8", [])}
+    if "dantzig" in new_gamma and "dantzig_cold" in new_gamma:
+        warm_p = new_gamma["dantzig"]["pivots"]
+        cold_p = new_gamma["dantzig_cold"]["pivots"]
         ratio = warm_p / cold_p if cold_p > 0 else float("inf")
-        print(f"{'gamma_n8 warm/cold (devex)':<34} {'':>12} {'':>12} "
+        print(f"{'gamma_n8 warm/cold (dantzig)':<34} {'':>12} {'':>12} "
               f"{ratio:>7.2f}x")
         if ratio > args.max_warm_cold_ratio:
             failures.append(
-                f"gamma_n8: warm-append devex needs {ratio:.2f}x the "
+                f"gamma_n8: warm-append dantzig needs {ratio:.2f}x the "
                 f"cold-growth pivots (max {args.max_warm_cold_ratio:.2f}x "
                 f"— warm row appends not engaging?)")
 

@@ -159,7 +159,6 @@ BoundResult ResultFromLp(const LpResult& lp, size_t num_weights) {
   result.status = lp.status;
   result.lp_iterations = lp.iterations;
   result.eval_path = lp.path;
-  result.lp_pricing = lp.pricing;
   result.lp_stats = lp.stats;
   switch (lp.status) {
     case LpStatus::kOptimal:

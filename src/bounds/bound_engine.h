@@ -69,7 +69,7 @@ struct EngineOptions {
   int max_cut_rounds = 500;
   int cuts_per_round = 256;
   double feasibility_eps = 1e-7;
-  // LP solver configuration (pricing rule, cut warm starts, tolerances;
+  // LP solver configuration (cut warm starts, tolerances, kernel dispatch;
   // see lp/simplex.h).
   SimplexOptions simplex;
 };
@@ -97,9 +97,6 @@ struct BoundResult {
   // How the underlying LP was evaluated: witness reuse, a warm re-solve
   // (warm cut appends included) or a cold solve.
   LpEvalPath eval_path = LpEvalPath::kCold;
-  // Which pricing rule the LP's primal phases ran
-  // (SimplexOptions::pricing).
-  PricingRule lp_pricing = PricingRule::kDantzig;
   // Solver pivot/update/refactorization counters, summed over every LP
   // call this evaluation made (unlike lp_iterations, which reports the
   // final solve only, these cover all cut-growth rounds too). Aggregated
@@ -111,10 +108,10 @@ struct BoundResult {
 };
 
 // The one LpStatus → BoundResult mapping, shared by every engine and by
-// ModularBound. Copies status, iterations, eval path, pricing and solver
-// counters; on kOptimal the bound is the LP objective and the weights are
-// the first `num_weights` duals (the statistics rows). h_opt, alpha and
-// cut_rounds are left to the caller.
+// ModularBound. Copies status, iterations, eval path and solver counters;
+// on kOptimal the bound is the LP objective and the weights are the first
+// `num_weights` duals (the statistics rows). h_opt, alpha and cut_rounds
+// are left to the caller.
 BoundResult ResultFromLp(const LpResult& lp, size_t num_weights);
 
 // The shape of a statistic: everything except the concrete value. Guard

@@ -1,8 +1,6 @@
 #include "lp/kernels.h"
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
@@ -13,16 +11,7 @@ namespace lpb {
 
 thread_local LpKernelCounters g_lp_kernel_counters;
 
-namespace {
-
-bool InitCycleTimingFromEnv() {
-  const char* env = std::getenv("LPB_LP_KERNEL_CYCLES");
-  return env != nullptr && std::strcmp(env, "1") == 0;
-}
-
-}  // namespace
-
-std::atomic<bool> g_lp_kernel_cycle_timing{InitCycleTimingFromEnv()};
+std::atomic<bool> g_lp_kernel_cycle_timing{false};
 
 void SetLpKernelCycleTiming(bool enabled) {
   g_lp_kernel_cycle_timing.store(enabled, std::memory_order_relaxed);

@@ -11,7 +11,7 @@
 //
 // Every kernel has exactly one numerical semantics, specified below in
 // scalar terms; the AVX2/FMA variants realize the *same* operation order
-// and widths, so `LPB_LP_SIMD=auto` and `=scalar` produce bit-identical
+// and widths, so SimdMode::kAuto and kScalar produce bit-identical
 // results (enforced by tests/test_lp_kernels.cc across sizes and
 // alignments, and end-to-end by the parity matrix of test_batch_eval.cc):
 //
@@ -40,9 +40,8 @@
 //
 // GetLpKernels(mode) returns the function table: the AVX2+FMA table when
 // the CPU supports both and the mode allows it, the scalar table
-// otherwise. Mode comes from SimplexOptions::simd, resolved against the
-// LPB_LP_SIMD environment variable by ResolveSimdMode (lp/lp_backend.h)
-// when it is kDefault. AVX2 code is compiled with a per-function target
+// otherwise. Mode comes from SimplexOptions::simd (ResolveSimdMode,
+// lp/lp_backend.h). AVX2 code is compiled with a per-function target
 // attribute, so the translation unit itself needs no -mavx2 and the
 // binary stays runnable on any x86-64 (and non-x86 builds simply have no
 // vector table).
@@ -50,8 +49,8 @@
 // == Accounting ==
 //
 // Every kernel invocation bumps a thread-local call counter; cycle
-// counting (rdtsc) is off by default and enabled by LPB_LP_KERNEL_CYCLES=1
-// or SetLpKernelCycleTiming(true), because a serializing timestamp pair
+// counting (rdtsc) is off by default and enabled by
+// SetLpKernelCycleTiming(true), because a serializing timestamp pair
 // per kernel call would skew the very throughput the bench gates on —
 // bench_throughput times its regimes with cycles off and collects the
 // cycle table in one extra sweep with them on. The simplex snapshots the
@@ -85,7 +84,7 @@ struct LpKernelCounters {
 // bump inlines into the kernel call sites.
 extern thread_local LpKernelCounters g_lp_kernel_counters;
 
-// Cycle timing toggle, latched from LPB_LP_KERNEL_CYCLES at startup.
+// Cycle timing toggle; off until SetLpKernelCycleTiming(true).
 extern std::atomic<bool> g_lp_kernel_cycle_timing;
 inline bool LpKernelCycleTimingEnabled() {
   return g_lp_kernel_cycle_timing.load(std::memory_order_relaxed);
@@ -140,9 +139,7 @@ struct LpKernels {
 // True when this CPU can run the AVX2+FMA table.
 bool CpuHasAvx2Fma();
 
-// The table for `mode` (kDefault is resolved by the caller via
-// ResolveSimdMode; passing it here is treated as kAuto). Returned
-// reference has static storage duration.
+// The table for `mode`. Returned reference has static storage duration.
 const LpKernels& GetLpKernels(SimdMode mode);
 
 // "avx2" or "scalar" — what GetLpKernels(mode) actually dispatched to on

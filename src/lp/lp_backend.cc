@@ -1,8 +1,5 @@
 #include "lp/lp_backend.h"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace lpb {
 
 NormalizedRows NormalizeRows(const LpProblem& problem,
@@ -42,39 +39,8 @@ LpBackendKind ResolveLpBackend(const SimplexOptions& /*options*/) {
   return LpBackendKind::kRevised;
 }
 
-const char* PricingRuleName(PricingRule rule) {
-  switch (rule) {
-    case PricingRule::kDantzig:
-      return "dantzig";
-    case PricingRule::kDevex:
-      return "devex";
-  }
-  return "unknown";
-}
-
-const char* SimdModeName(SimdMode mode) {
-  switch (mode) {
-    case SimdMode::kDefault:
-      return "default";
-    case SimdMode::kAuto:
-      return "auto";
-    case SimdMode::kScalar:
-      return "scalar";
-  }
-  return "unknown";
-}
-
 SimdMode ResolveSimdMode(const SimplexOptions& options) {
-  if (options.simd != SimdMode::kDefault) return options.simd;
-  // Read the environment on every resolution so the SIMD parity tests can
-  // flip LPB_LP_SIMD within one process.
-  const char* env = std::getenv("LPB_LP_SIMD");
-  if (env != nullptr && std::strcmp(env, "scalar") == 0) {
-    return SimdMode::kScalar;
-  }
-  // Results are bit-identical either way, so auto is always safe; unknown
-  // values also fall back here.
-  return SimdMode::kAuto;
+  return options.simd;
 }
 
 const char* LpKernelName(LpKernelId id) {

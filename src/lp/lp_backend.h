@@ -1,11 +1,12 @@
-// Solver identity, knob resolution and row normalization of the LP layer.
+// Solver identity, kernel-mode resolution and row normalization of the LP
+// layer.
 //
 // The one LP solver is the sparse revised simplex (lp/revised_simplex.h)
 // behind SimplexTableau (lp/tableau.h). This header holds the pieces
 // around it that callers outside the solver also need: the name of the
-// solver for reports, the LPB_LP_SIMD resolution of the kernel dispatch,
-// and the sign normalization of constraint rows, which the dense test
-// oracle (tests/dense_oracle.h) applies identically.
+// solver for reports, the SIMD mode of the kernel dispatch, and the sign
+// normalization of constraint rows, which the dense test oracle
+// (tests/dense_oracle.h) applies identically.
 #ifndef LPB_LP_LP_BACKEND_H_
 #define LPB_LP_LP_BACKEND_H_
 
@@ -33,8 +34,8 @@ NormalizedRows NormalizeRows(const LpProblem& problem,
 // the solver from the options they were given.
 LpBackendKind ResolveLpBackend(const SimplexOptions& options);
 
-// Resolves kDefault against LPB_LP_SIMD ("auto" / "scalar"; anything else
-// falls back to auto). Never returns kDefault.
+// The kernel dispatch mode `options` run on: options.simd. Kept so reports
+// can name the dispatch from the options they were given.
 SimdMode ResolveSimdMode(const SimplexOptions& options);
 
 }  // namespace lpb

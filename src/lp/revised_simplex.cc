@@ -476,9 +476,6 @@ bool RevisedSimplex::RunPhase(const std::vector<double>& cost,
   int consecutive_rejects = 0;
   int stalled = 0;  // degenerate (zero-step) pivots since the last progress
   bland_mode_ = false;
-  // Fresh Devex reference framework per phase: every column starts at
-  // weight 1 (the framework is the phase-start nonbasic set).
-  if (options_.pricing == PricingRule::kDevex) devex_w_.assign(cols_, 1.0);
   price_list_.clear();
   while (true) {
     if (numerical_failure_ || iterations_ >= max_iterations_) return false;
@@ -488,8 +485,8 @@ bool RevisedSimplex::RunPhase(const std::vector<double>& cost,
     // comparisons can erode on extremely degenerate LPs — so after a long
     // run of zero-step pivots, switch to Bland's rule (smallest-index
     // pricing + smallest-index tie-break), whose termination guarantee
-    // holds from any basis with no invariant to preserve. Dantzig/Devex
-    // pricing resumes as soon as a pivot moves.
+    // holds from any basis with no invariant to preserve. Dantzig pricing
+    // resumes as soon as a pivot moves.
     bland_mode_ = stalled > kBlandStallThreshold;
 
     // Price: y = B⁻ᵀ c_B once, then one sparse dot per priced column.
@@ -549,13 +546,6 @@ bool RevisedSimplex::RunPhase(const std::vector<double>& cost,
       unbounded_ = true;
       return true;
     }
-    // Devex weights ride the pivot row of the *old* basis, so they are
-    // staged before the factorization absorbs the pivot — and committed
-    // only if the pivot actually goes through (a rejected-and-rolled-back
-    // pivot must not leave phantom weight updates behind).
-    if (options_.pricing == PricingRule::kDevex) {
-      PrepareDevexWeights(enter, leave, w_, limit);
-    }
     const Scalar step = x_basic_[leave] / w_[leave];
     if (!ApplyPivot(enter, leave, w_)) {
       if (numerical_failure_) return false;
@@ -571,7 +561,6 @@ bool RevisedSimplex::RunPhase(const std::vector<double>& cost,
       }
       continue;
     }
-    if (options_.pricing == PricingRule::kDevex) CommitDevexWeights();
     consecutive_rejects = 0;
     if (step > 1e-12) {
       stalled = 0;
@@ -591,13 +580,8 @@ int RevisedSimplex::PriceEntering(const std::vector<double>& cost, int limit,
                                   double& best) {
   const double eps = options_.eps;
   const bool partial = limit >= kPartialPricingMinCols;
-  // Criterion: reduced cost (Dantzig) or reduced²/γ (Devex); ties break to
-  // the lower index via strict comparison, keeping the rule deterministic.
-  auto criterion = [&](int j, double reduced) {
-    return options_.pricing == PricingRule::kDevex
-               ? reduced * reduced / devex_w_[j]
-               : reduced;
-  };
+  // Dantzig: the largest reduced cost enters; ties break to the lower
+  // index via strict comparison, keeping the rule deterministic.
   if (partial && !price_list_.empty()) {
     // Candidate pass: re-price only the list, compacting out columns that
     // went basic, got frozen, or priced out since the last sweep.
@@ -610,9 +594,8 @@ int RevisedSimplex::PriceEntering(const std::vector<double>& cost, int limit,
           cost[j] - static_cast<double>(a_.DotColumn(j, y_));
       if (reduced <= eps) continue;
       price_list_[keep++] = j;
-      const double score = criterion(j, reduced);
-      if (score > best_score) {
-        best_score = score;
+      if (reduced > best_score) {
+        best_score = reduced;
         enter = j;
         best = reduced;
       }
@@ -630,10 +613,9 @@ int RevisedSimplex::PriceEntering(const std::vector<double>& cost, int limit,
     if (in_basis_[j] != kNoCol || frozen_[j]) continue;
     const double reduced = cost[j] - static_cast<double>(a_.DotColumn(j, y_));
     if (reduced <= eps) continue;
-    const double score = criterion(j, reduced);
-    if (partial) ranked.emplace_back(score, j);
-    if (score > best_score) {
-      best_score = score;
+    if (partial) ranked.emplace_back(reduced, j);
+    if (reduced > best_score) {
+      best_score = reduced;
       enter = j;
       best = reduced;
     }
@@ -653,52 +635,6 @@ int RevisedSimplex::PriceEntering(const std::vector<double>& cost, int limit,
     }
   }
   return enter;
-}
-
-void RevisedSimplex::PrepareDevexWeights(int enter, int leave_slot,
-                                         const std::vector<Scalar>& w,
-                                         int limit) {
-  devex_pending_.clear();
-  devex_pending_out_ = kNoCol;
-  const Scalar alpha_q = w[leave_slot];
-  if (alpha_q == 0.0) return;
-  const int out = basis_[leave_slot];
-  const double gamma_q = std::max(devex_w_[enter], 1.0);
-  // Pivot row r of B⁻¹A: one unit BTRAN against the pre-pivot basis, then
-  // a sparse dot per priced column — the same shape as a pricing pass.
-  unit_.assign(rows_, 0.0);
-  unit_[leave_slot] = 1.0;
-  lu_.Btran(unit_);
-  for (int j = 0; j < limit; ++j) {
-    if (j == enter || in_basis_[j] != kNoCol || frozen_[j]) continue;
-    const Scalar alpha = a_.DotColumn(j, unit_);
-    if (alpha == 0.0) continue;
-    const double ratio = static_cast<double>(alpha / alpha_q);
-    const double candidate = ratio * ratio * gamma_q;
-    if (candidate > devex_w_[j]) devex_pending_.emplace_back(j, candidate);
-  }
-  const double alpha_q2 = static_cast<double>(alpha_q * alpha_q);
-  devex_pending_out_ = out;
-  devex_pending_out_w_ = std::max(gamma_q / alpha_q2, 1.0);
-  devex_pending_reset_ =
-      devex_pending_out_w_ > kDevexWeightLimit || gamma_q > kDevexWeightLimit;
-}
-
-void RevisedSimplex::CommitDevexWeights() {
-  for (const auto& [j, weight] : devex_pending_) {
-    if (weight > devex_w_[j]) devex_w_[j] = weight;
-  }
-  devex_pending_.clear();
-  if (devex_pending_out_ == kNoCol) return;
-  devex_w_[devex_pending_out_] = devex_pending_out_w_;
-  devex_pending_out_ = kNoCol;
-  if (devex_pending_reset_) {
-    // Weight blow-up: the reference framework no longer approximates the
-    // steepest-edge norms — restart it from the current nonbasic set.
-    devex_w_.assign(cols_, 1.0);
-    ++stats_.devex_resets;
-    devex_pending_reset_ = false;
-  }
 }
 
 RevisedSimplex::DualOutcome RevisedSimplex::RunDualSimplex() {
@@ -827,7 +763,6 @@ void RevisedSimplex::ExtractOptimal(LpEvalPath path, LpResult& result,
     // scatter and the objective dot on the repeated-RHS hot path.
     result.x = cached_x_;
     result.objective = cached_objective_;
-    result.pricing = options_.pricing;
     result.duals = cached_duals_;
     has_basis_ = true;
     FillKernelStats();
@@ -848,7 +783,6 @@ void RevisedSimplex::ExtractOptimal(LpEvalPath path, LpResult& result,
   cached_x_ = result.x;
   cached_objective_ = result.objective;
   result_cache_valid_ = true;
-  result.pricing = options_.pricing;
 
   if (path == LpEvalPath::kWitness && !cached_duals_.empty()) {
     // Same basis, same cost: the duals are the previous solve's.
@@ -873,7 +807,6 @@ void RevisedSimplex::Failure(LpStatus status, LpResult& result) {
   result.objective = 0.0;
   result.iterations = iterations_;
   result.path = LpEvalPath::kCold;
-  result.pricing = options_.pricing;
   FillKernelStats();
   result.stats = stats_;
   // The LpResult contract: x/duals are sized (zeros) even on failure so

@@ -16,19 +16,11 @@
 // tableau's O(rows x cols) sweep — the difference between grinding and
 // finishing on the cutting-plane Γn relaxations past n ≈ 7.
 //
-// Pricing is selectable (SimplexOptions::pricing):
-// Dantzig's most-positive-reduced-cost rule, or Devex reference-framework
-// pricing — approximate steepest-edge weights γ_j ≈ ‖B⁻¹A_j‖² maintained
-// per pivot from the pivot row (one extra BTRAN + sparse dots), entering
-// column argmax d_j²/γ_j, and a full reference reset when the weights blow
-// up. Devex pays ~2x per-iteration pricing cost to cut the *number* of
-// iterations on the heavily degenerate cutting-plane relaxations, where
-// Dantzig burns hundreds of zero-step pivots per cut round. On wide
-// problems (cols ≥ kPartialPricingMinCols) both rules additionally price
-// over a candidate list: a full sweep ranks the eligible columns and keeps
-// the best few dozen, later iterations re-price only those, and the next
-// full sweep runs when the list goes dry — optimality is only ever
-// declared by a full sweep.
+// Pricing is Dantzig's most-positive-reduced-cost rule. On wide problems
+// (cols ≥ kPartialPricingMinCols) it prices over a candidate list: a full
+// sweep ranks the eligible columns and keeps the best few dozen, later
+// iterations re-price only those, and the next full sweep runs when the
+// list goes dry — optimality is only ever declared by a full sweep.
 //
 // Anti-cycling: the ratio test breaks ties lexicographically on the rows
 // of [B⁻¹b | B⁻¹], the invariant a dense tableau maintains over its
@@ -131,15 +123,13 @@ class RevisedSimplex {
 
   static constexpr int kNoCol = -1;
   // Degenerate (zero-step) pivots tolerated before the phase falls back
-  // from Dantzig/Devex + lexicographic to Bland's rule (see RunPhase).
+  // from Dantzig + lexicographic to Bland's rule (see RunPhase).
   static constexpr int kBlandStallThreshold = 100;
   // Base magnitude of the internal anti-degeneracy RHS perturbation
   // (graded per row, removed exactly by the cleanup pass in SolveCore).
   static constexpr double kAntiDegeneracyEps = 1e-7;
   // Candidate-list (partial) pricing engages at this column count.
   static constexpr int kPartialPricingMinCols = 512;
-  // Devex weights past this trigger a reference-framework reset.
-  static constexpr double kDevexWeightLimit = 1e8;
   // Lanes per blocked FTRAN when materializing missing B⁻¹ columns.
   static constexpr int kBinvBlockLanes = LuBasis::kMaxFtranBlockLanes;
 
@@ -205,24 +195,12 @@ class RevisedSimplex {
   bool Refactorize();
   // Primal phase on `cost`; false on iteration limit or numerical failure.
   bool RunPhase(const std::vector<double>& cost, bool phase_two);
-  // Entering-column choice for RunPhase's non-Bland iterations: Dantzig or
-  // Devex criterion, over the candidate list when partial pricing is
-  // active (falling back to — and rebuilding the list from — a full sweep
-  // when the list goes dry). Returns kNoCol only after a full sweep found
-  // no eligible column; `best` is the entering column's reduced cost.
+  // Entering-column choice for RunPhase's non-Bland iterations: Dantzig's
+  // rule, over the candidate list when partial pricing is active (falling
+  // back to — and rebuilding the list from — a full sweep when the list
+  // goes dry). Returns kNoCol only after a full sweep found no eligible
+  // column; `best` is the entering column's reduced cost.
   int PriceEntering(const std::vector<double>& cost, int limit, double& best);
-  // Devex weight maintenance for the chosen (enter, leave_slot) pivot, in
-  // two halves: Prepare runs against the *pre-pivot* basis (one BTRAN
-  // materializes the pivot row, and every nonbasic column's candidate
-  // weight is staged — all columns, not just the candidate list: stale
-  // weights were measured to cost far more pivots than the full update
-  // pass costs to maintain), and Commit applies the staged weights only
-  // once ApplyPivot has actually taken the pivot (a rejected-and-rolled-
-  // back pivot must not leave phantom updates behind). Commit also resets
-  // the reference framework when weights blow past kDevexWeightLimit.
-  void PrepareDevexWeights(int enter, int leave_slot,
-                           const std::vector<Scalar>& w, int limit);
-  void CommitDevexWeights();
   enum class DualOutcome { kOptimal, kInfeasible, kIterationLimit };
   DualOutcome RunDualSimplex();
   // The witness / dual-simplex / cold cascade against the cached basis —
@@ -338,15 +316,7 @@ class RevisedSimplex {
   // Thread-local kernel counters at the last public entry; FillKernelStats
   // reports the delta (see lp/kernels.h).
   LpKernelCounters kernel_base_;
-  // Devex reference weights per column (reset to 1 per phase and on
-  // blow-up), the staged updates of the pending pivot (see
-  // PrepareDevexWeights/CommitDevexWeights), and the candidate list of
-  // partial pricing.
-  std::vector<double> devex_w_;
-  std::vector<std::pair<int, double>> devex_pending_;  // (col, new weight)
-  int devex_pending_out_ = kNoCol;
-  double devex_pending_out_w_ = 1.0;
-  bool devex_pending_reset_ = false;
+  // Candidate list of partial pricing.
   std::vector<int> price_list_;
 
   // Scratch (slot/row space, size rows_).

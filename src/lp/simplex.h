@@ -4,9 +4,12 @@
 // revised simplex of lp/revised_simplex.h: phase 1 drives artificial
 // variables out of the basis, phase 2 optimizes the real objective, and a
 // lexicographic ratio test guarantees termination on the heavily
-// degenerate cutting-plane LPs of the bound engine. Dual values for every
-// constraint come with each optimal result — the bound engines use them as
-// the witness coefficients w_i of the paper's information inequality (8).
+// degenerate cutting-plane LPs of the bound engine. The primal phases price
+// by Dantzig's rule (most positive reduced cost); a pivot rule picks only
+// the path to the optimum, never the optimum or its duals. Dual values for
+// every constraint come with each optimal result — the bound engines use
+// them as the witness coefficients w_i of the paper's information
+// inequality (8).
 #ifndef LPB_LP_SIMPLEX_H_
 #define LPB_LP_SIMPLEX_H_
 
@@ -36,33 +39,15 @@ enum class LpBackendKind { kRevised };
 // "revised".
 const char* LpBackendName(LpBackendKind kind);
 
-// Pricing rule of the primal phases.
-//   kDantzig — most positive reduced cost (the default).
-//   kDevex   — Devex reference-framework pricing: approximate steepest-edge
-//              weights updated per pivot, reference frame reset on weight
-//              blow-up. Fewer pivots on some cold cutting-plane compiles,
-//              more work per pivot; see src/lp/README.md.
-// Wide problems additionally price over a candidate list under either rule
-// (partial pricing); see lp/revised_simplex.h.
-enum class PricingRule { kDantzig, kDevex };
-
-// "dantzig" / "devex".
-const char* PricingRuleName(PricingRule rule);
-
 // SIMD dispatch of the double-precision LP kernels (lp/kernels.h).
-//   kDefault — consult LPB_LP_SIMD ("auto" or "scalar"); auto when unset.
-//              This is the only value that honors the env var, so tests
-//              pinning a mode stay pinned.
-//   kAuto    — use the AVX2+FMA variants when the CPU supports them.
-//   kScalar  — force the scalar fallbacks. Bitwise-identical results to
-//              kAuto by construction (see lp/kernels.h); this mode exists
-//              so CI can prove it.
+//   kAuto   — use the AVX2+FMA variants when the CPU supports them (the
+//             default).
+//   kScalar — force the scalar fallbacks. Bitwise-identical results to
+//             kAuto by construction (see lp/kernels.h); this mode exists
+//             so the tests can run the scalar table end to end.
 // The long-double pivot-precision kernels are scalar under every mode —
 // x86 SIMD has no long-double lanes.
-enum class SimdMode { kDefault, kAuto, kScalar };
-
-// "auto" / "scalar"; kDefault renders as "default".
-const char* SimdModeName(SimdMode mode);
+enum class SimdMode { kAuto, kScalar };
 
 // Whether the cutting-plane engines carry the previous round's optimal
 // basis across cut-growth rounds (SimplexTableau::AddConstraintsWarm +
@@ -106,7 +91,6 @@ struct LpSolveStats {
   int refactorizations = 0;   // full LU factorizations after the first
   int ft_updates = 0;         // Forrest–Tomlin in-place U updates taken
   int rejected_updates = 0;   // updates refused (unstable), forcing refactor
-  int devex_resets = 0;       // Devex reference-framework resets
   // Warm cut-round accounting (see SimplexTableau::AddConstraintsWarm,
   // lp/tableau.h).
   int warm_cut_rounds = 0;          // cut rounds served by a warm row append
@@ -116,10 +100,10 @@ struct LpSolveStats {
   int append_refactorizations = 0;  // full refactorizations forced by an
                                     // append (fill budget / validation)
 
-  // Per-kernel invocation counts and (when LPB_LP_KERNEL_CYCLES=1 or
-  // SetLpKernelCycleTiming(true)) rdtsc cycles for this call, indexed by
-  // LpKernelId. Cycles are zero when timing is off — counting is always on,
-  // timing costs a serializing timestamp pair per kernel call.
+  // Per-kernel invocation counts and (when SetLpKernelCycleTiming(true))
+  // rdtsc cycles for this call, indexed by LpKernelId. Cycles are zero when
+  // timing is off — counting is always on, timing costs a serializing
+  // timestamp pair per kernel call.
   unsigned long long kernel_calls[kNumLpKernels] = {};
   unsigned long long kernel_cycles[kNumLpKernels] = {};
 
@@ -137,7 +121,6 @@ struct LpSolveStats {
     refactorizations = 0;
     ft_updates = 0;
     rejected_updates = 0;
-    devex_resets = 0;
     warm_cut_rounds = 0;
     dual_repair_pivots = 0;
     row_appends = 0;
@@ -150,7 +133,6 @@ struct LpSolveStats {
     refactorizations += o.refactorizations;
     ft_updates += o.ft_updates;
     rejected_updates += o.rejected_updates;
-    devex_resets += o.devex_resets;
     warm_cut_rounds += o.warm_cut_rounds;
     dual_repair_pivots += o.dual_repair_pivots;
     row_appends += o.row_appends;
@@ -182,8 +164,6 @@ struct LpResult {
   int iterations = 0;
   // Which evaluation path produced this result (always kCold for SolveLp).
   LpEvalPath path = LpEvalPath::kCold;
-  // Which pricing rule the primal phases ran.
-  PricingRule pricing = PricingRule::kDantzig;
   // Pivot / update / refactorization counters for this call.
   LpSolveStats stats;
 };
@@ -191,16 +171,13 @@ struct LpResult {
 struct SimplexOptions {
   double eps = 1e-9;          // pivot / feasibility tolerance
   int max_iterations = 0;     // 0 = automatic (50 * (rows + cols) + 1000)
-  // Pricing rule of the primal phases (see the enum above).
-  PricingRule pricing = PricingRule::kDantzig;
   // Forrest–Tomlin basis updates carried between full refactorizations.
   // 0 = automatic (64). The fill budget in lp/lu_basis.h can force an
   // earlier refactorization either way.
   int max_basis_updates = 0;
-  // SIMD dispatch of the double-precision kernels (lp/kernels.h). kDefault
-  // reads LPB_LP_SIMD and falls back to kAuto; results are bit-identical
-  // under every mode, so this is a pure performance/debugging knob.
-  SimdMode simd = SimdMode::kDefault;
+  // SIMD dispatch of the double-precision kernels (lp/kernels.h); results
+  // are bit-identical under both modes.
+  SimdMode simd = SimdMode::kAuto;
   // Warm-started cut rounds in the cutting-plane engines (see the enum
   // above).
   CutWarmStart cut_warm_start = CutWarmStart::kOn;

@@ -19,8 +19,8 @@ double SaturatingExp2(double log2) {
 }
 
 // Costs within this relative tolerance are ties. The LP's evaluation paths
-// (witness, warm, cold) and pricing rules agree on bounds only to solver
-// tolerance, so a strict `<` would let ulp noise pick different plans per
+// (witness, warm, cold) and refactorization schedules agree on bounds only
+// to solver tolerance, so a strict `<` would let ulp noise pick different plans per
 // path; eps-ties instead fall through to the tiebreak sum and then to
 // enumeration order, both path-independent.
 constexpr double kCostRelEps = 1e-5;

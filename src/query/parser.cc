@@ -1,6 +1,8 @@
 #include "query/parser.h"
 
 #include <cctype>
+#include <set>
+#include <string>
 #include <vector>
 
 namespace lpb {
@@ -125,20 +127,32 @@ std::optional<Query> ParseQuery(const std::string& text, std::string* error) {
     return std::nullopt;
   }
 
+  // Validate before interning: a VarSet holds kMaxVars variables, and
+  // Query::AddVar only asserts that.
+  std::set<std::string> body_vars;
+  for (const RawAtom& atom : body) {
+    body_vars.insert(atom.vars.begin(), atom.vars.end());
+  }
+  if (body_vars.size() > static_cast<size_t>(kMaxVars)) {
+    if (error) {
+      *error = "query has " + std::to_string(body_vars.size()) +
+               " variables; at most " + std::to_string(kMaxVars) +
+               " are supported";
+    }
+    return std::nullopt;
+  }
+  // Full conjunctive queries only: the head lists exactly the body
+  // variables, so every head variable is guarded by some atom.
+  if (has_head &&
+      std::set<std::string>(head_vars.begin(), head_vars.end()) != body_vars) {
+    if (error) *error = "head must list exactly the body variables (full CQ)";
+    return std::nullopt;
+  }
+
   Query query(has_head ? head_name : "Q");
   // Intern head variables first so their ids follow the head order.
   for (const std::string& v : head_vars) query.AddVar(v);
   for (const RawAtom& atom : body) query.AddAtom(atom.name, atom.vars);
-
-  if (has_head) {
-    // Full conjunctive queries only: the head must cover all body variables.
-    VarSet head_set = 0;
-    for (const std::string& v : head_vars) head_set |= VarBit(query.VarIndex(v));
-    if (head_set != query.AllVars()) {
-      if (error) *error = "head must contain every body variable (full CQ)";
-      return std::nullopt;
-    }
-  }
   return query;
 }
 

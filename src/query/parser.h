@@ -5,7 +5,8 @@
 //   head  := ident "(" ident ("," ident)* ")"
 //   atom  := ident "(" ident ("," ident)* ")"
 // Example: "Q(X,Y,Z) :- R(X,Y), S(Y,Z), T(Z,X)". The head, if present, must
-// list every body variable (full conjunctive queries only).
+// list exactly the body variables (full conjunctive queries only), and a
+// query has at most kMaxVars (util/bits.h) distinct variables.
 #ifndef LPB_QUERY_PARSER_H_
 #define LPB_QUERY_PARSER_H_
 

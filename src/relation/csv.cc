@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -34,10 +35,13 @@ std::string Trim(const std::string& s) {
 bool ParseValue(const std::string& field, Value* out) {
   const std::string t = Trim(field);
   if (t.empty()) return false;
+  constexpr Value kMax = std::numeric_limits<Value>::max();
   Value v = 0;
   for (char c : t) {
     if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-    v = v * 10 + static_cast<Value>(c - '0');
+    const Value digit = static_cast<Value>(c - '0');
+    if (v > (kMax - digit) / 10) return false;  // above 2^64 - 1
+    v = v * 10 + digit;
   }
   *out = v;
   return true;

@@ -6,10 +6,10 @@
 // it would across scalar calls. These tests hold every layer to it
 // *bitwise* — two identically compiled bounds, one driven scalar and one
 // batched, must produce equal doubles, equal eval paths, and equal
-// counters on every engine and both pricing rules. The one deliberate
-// exception is the Γn cutting-plane mode, whose batch shares a cut pool
-// and so promises tolerance parity on the converged bounds instead (see
-// CuttingPlaneModeSharesCutPoolWithScalarParity).
+// counters on every engine and both kernel dispatch modes. The one
+// deliberate exception is the Γn cutting-plane mode, whose batch shares a
+// cut pool and so promises tolerance parity on the converged bounds
+// instead (see CuttingPlaneModeSharesCutPoolWithScalarParity).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -85,7 +85,6 @@ void ExpectBitwiseEqual(const BoundResult& a, const BoundResult& b,
   // The per-call solver statistics are part of the parity contract too:
   // a batch column must do exactly the pivots, updates, and
   // refactorizations its scalar twin does.
-  EXPECT_EQ(a.lp_pricing, b.lp_pricing) << context;
   EXPECT_EQ(a.lp_stats.phase1_pivots, b.lp_stats.phase1_pivots) << context;
   EXPECT_EQ(a.lp_stats.phase2_pivots, b.lp_stats.phase2_pivots) << context;
   EXPECT_EQ(a.lp_stats.dual_pivots, b.lp_stats.dual_pivots) << context;
@@ -94,7 +93,6 @@ void ExpectBitwiseEqual(const BoundResult& a, const BoundResult& b,
   EXPECT_EQ(a.lp_stats.ft_updates, b.lp_stats.ft_updates) << context;
   EXPECT_EQ(a.lp_stats.rejected_updates, b.lp_stats.rejected_updates)
       << context;
-  EXPECT_EQ(a.lp_stats.devex_resets, b.lp_stats.devex_resets) << context;
   // Kernel-level parity: a batch column must invoke exactly the kernel
   // calls its scalar twin does (cycles are timing-dependent and excluded).
   for (int k = 0; k < kNumLpKernels; ++k) {
@@ -113,19 +111,16 @@ void ExpectBitwiseEqual(const BoundResult& a, const BoundResult& b,
 
 // Compiles `stats`' structure twice with identical options and drives one
 // copy scalar, one batched; every per-column result and the final counters
-// must agree bitwise. `pricing` pins the pricing rule;
-// `max_basis_updates` = 1 forces a refactorization after every pivot, the
-// worst case for mid-batch factorization churn.
+// must agree bitwise. `max_basis_updates` = 1 forces a refactorization
+// after every pivot, the worst case for mid-batch factorization churn.
 void CheckEngineBatchParity(const std::string& engine_name,
                             const std::vector<ConcreteStatistic>& stats,
                             int n, bool want_h_opt,
-                            PricingRule pricing = PricingRule::kDantzig,
                             int max_basis_updates = 0,
-                            SimdMode simd = SimdMode::kDefault) {
+                            SimdMode simd = SimdMode::kAuto) {
   const BoundEngine* engine = FindBoundEngine(engine_name);
   ASSERT_NE(engine, nullptr);
   EngineOptions options;
-  options.simplex.pricing = pricing;
   options.simplex.max_basis_updates = max_basis_updates;
   options.simplex.simd = simd;
   const BoundStructure structure = StructureOf(n, stats);
@@ -143,8 +138,7 @@ void CheckEngineBatchParity(const std::string& engine_name,
       batch_bound->EvaluateBatch(batch, want_h_opt);
 
   ASSERT_EQ(batch_results.size(), scalar_results.size());
-  const std::string context = engine_name + "/" + PricingRuleName(pricing) +
-                              (want_h_opt ? "/h_opt" : "");
+  const std::string context = engine_name + (want_h_opt ? "/h_opt" : "");
   for (size_t c = 0; c < batch.size(); ++c) {
     ExpectBitwiseEqual(batch_results[c], scalar_results[c],
                        context + " column " + std::to_string(c));
@@ -171,29 +165,16 @@ TEST(EvaluateBatch, MatchesScalarOnAllEngines) {
   CheckEngineBatchParity("gamma", NonSimpleStats(), 3, /*want_h_opt=*/true);
 }
 
-TEST(EvaluateBatch, MatchesScalarUnderDevexPricing) {
-  // The bitwise batch≡scalar contract must hold under either pricing
-  // rule: the same suite with Devex pinned as the active rule.
-  for (const char* name : {"gamma", "normal", "auto", "agm", "panda"}) {
-    CheckEngineBatchParity(name, SimpleStats(), 3, /*want_h_opt=*/false,
-                           PricingRule::kDevex);
-  }
-  CheckEngineBatchParity("gamma", NonSimpleStats(), 3, /*want_h_opt=*/true,
-                         PricingRule::kDevex);
-}
-
 TEST(EvaluateBatch, MidBatchRefactorizeKeepsParity) {
   // Regression for the Forrest–Tomlin fallback: max_basis_updates = 1
   // trips NeedsRefactorize after every pivot, so any warm or cold column
   // inside a batch refactorizes mid-block — which must not desynchronize
   // the batch from the scalar sequence (the B⁻¹ memo keys on
   // factorization identity and must invalidate on every update).
-  for (PricingRule pricing : {PricingRule::kDantzig, PricingRule::kDevex}) {
-    CheckEngineBatchParity("gamma", NonSimpleStats(), 3, /*want_h_opt=*/false,
-                           pricing, /*max_basis_updates=*/1);
-    CheckEngineBatchParity("normal", SimpleStats(), 3, /*want_h_opt=*/false,
-                           pricing, /*max_basis_updates=*/1);
-  }
+  CheckEngineBatchParity("gamma", NonSimpleStats(), 3, /*want_h_opt=*/false,
+                         /*max_basis_updates=*/1);
+  CheckEngineBatchParity("normal", SimpleStats(), 3, /*want_h_opt=*/false,
+                         /*max_basis_updates=*/1);
 }
 
 TEST(EvaluateBatch, MatchesScalarUnderForcedSimdModes) {
@@ -204,12 +185,10 @@ TEST(EvaluateBatch, MatchesScalarUnderForcedSimdModes) {
   for (SimdMode simd : {SimdMode::kAuto, SimdMode::kScalar}) {
     for (const char* name : {"gamma", "normal", "auto"}) {
       CheckEngineBatchParity(name, SimpleStats(), 3, /*want_h_opt=*/false,
-                             PricingRule::kDantzig, /*max_basis_updates=*/0,
-                             simd);
+                             /*max_basis_updates=*/0, simd);
     }
     CheckEngineBatchParity("gamma", NonSimpleStats(), 3, /*want_h_opt=*/false,
-                           PricingRule::kDantzig, /*max_basis_updates=*/0,
-                           simd);
+                           /*max_basis_updates=*/0, simd);
   }
 }
 

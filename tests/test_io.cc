@@ -54,6 +54,22 @@ TEST(Csv, RejectsNonNumeric) {
   EXPECT_NE(error.find("not an unsigned integer"), std::string::npos);
 }
 
+TEST(Csv, RejectsOutOfRangeValue) {
+  auto max = RelationFromCsv("R", "x\n18446744073709551615\n");
+  ASSERT_TRUE(max.has_value());
+  EXPECT_EQ(max->At(0, 0), 18446744073709551615ull);
+  // 2^64, a 20-digit value far above 2^64 - 1, and 2^64 behind leading
+  // zeros on a later line.
+  for (const char* text : {"x\n18446744073709551616\n",
+                           "x\n99999999999999999999\n",
+                           "x\n1\n0000018446744073709551616\n"}) {
+    std::string error;
+    EXPECT_FALSE(RelationFromCsv("R", text, {}, &error).has_value()) << text;
+    EXPECT_NE(error.find("not an unsigned integer"), std::string::npos)
+        << text;
+  }
+}
+
 TEST(Csv, RejectsEmpty) {
   std::string error;
   EXPECT_FALSE(RelationFromCsv("R", "", {}, &error).has_value());

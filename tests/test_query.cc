@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "query/hypergraph.h"
 #include "query/parser.h"
 #include "query/query.h"
@@ -64,6 +66,34 @@ TEST(Parser, HeadMustCoverBody) {
   auto q = ParseQuery("Q(X) :- R(X,Y)", &error);
   EXPECT_FALSE(q.has_value());
   EXPECT_NE(error.find("head"), std::string::npos);
+}
+
+TEST(Parser, RejectsHeadVariableMissingFromBody) {
+  std::string error;
+  EXPECT_FALSE(ParseQuery("Q(X,Y) :- R(X)", &error).has_value());
+  EXPECT_NE(error.find("head"), std::string::npos);
+}
+
+// A chain query over `vars` variables: R0(V0,V1), R1(V1,V2), ...
+std::string ChainQuery(int vars) {
+  std::string text;
+  for (int i = 0; i + 1 < vars; ++i) {
+    if (i > 0) text += ", ";
+    text += "R" + std::to_string(i) + "(V" + std::to_string(i) + ",V" +
+            std::to_string(i + 1) + ")";
+  }
+  return text;
+}
+
+TEST(Parser, RejectsMoreThanMaxVarsVariables) {
+  auto q = ParseQuery(ChainQuery(kMaxVars));
+  ASSERT_TRUE(q.has_value());
+  EXPECT_EQ(q->num_vars(), kMaxVars);
+  std::string error;
+  EXPECT_FALSE(ParseQuery(ChainQuery(kMaxVars + 1), &error).has_value());
+  EXPECT_NE(error.find("variables"), std::string::npos);
+  // Past 32 variables a VarSet shift would overflow.
+  EXPECT_FALSE(ParseQuery(ChainQuery(40)).has_value());
 }
 
 TEST(Parser, WhitespaceInsensitive) {

@@ -8,9 +8,10 @@
 // the oracle on status and objective, and that each returned witness
 // independently satisfies primal feasibility, dual feasibility, and
 // complementary slackness. Warm resolves are checked against oracle cold
-// solves at the same right-hand side. Every test runs under both pricing
-// rules (Dantzig and Devex): the rule changes the pivot path, never the
-// verdict.
+// solves at the same right-hand side. The random-LP tests run under both
+// kernel dispatch modes (SimplexOptions::simd = kAuto and kScalar), whose
+// results are bitwise identical by contract (lp/kernels.h), so every seed
+// also soaks the scalar table.
 //
 // The seed is overridable via LPB_DIFF_SEED so CI can run several fixed
 // seeds without recompiling; failures print the seed and trial for replay.
@@ -47,13 +48,16 @@ uint64_t HarnessSeed() {
   return 12345;
 }
 
-constexpr PricingRule kPricingRules[] = {PricingRule::kDantzig,
-                                         PricingRule::kDevex};
+constexpr SimdMode kSimdModes[] = {SimdMode::kAuto, SimdMode::kScalar};
 
-SimplexOptions Pricing(PricingRule rule) {
+SimplexOptions Simd(SimdMode mode) {
   SimplexOptions options;
-  options.pricing = rule;
+  options.simd = mode;
   return options;
+}
+
+const char* SimdName(SimdMode mode) {
+  return mode == SimdMode::kScalar ? "scalar" : "auto";
 }
 
 // Quarter-integer coefficients: exact ties in the ratio test, the regime
@@ -205,8 +209,7 @@ void ExpectAgreement(const LpProblem& lp, const std::vector<double>& rhs,
   }
 }
 
-// Every LP under both pricing rules: the rule changes the pivot path,
-// never the optimum.
+// Every LP under both kernel dispatch modes.
 TEST(SimplexDifferential, FiveHundredRandomLpsAgree) {
   const uint64_t seed = HarnessSeed();
   Rng rng(seed);
@@ -214,12 +217,11 @@ TEST(SimplexDifferential, FiveHundredRandomLpsAgree) {
   for (int trial = 0; trial < 500; ++trial) {
     LpProblem lp = RandomLp(rng);
     const LpResult oracle = DenseOracleSolve(lp);
-    for (PricingRule rule : kPricingRules) {
-      const LpResult r = SimplexTableau(lp, Pricing(rule)).Solve();
-      ASSERT_EQ(r.pricing, rule);
+    for (SimdMode mode : kSimdModes) {
+      const LpResult r = SimplexTableau(lp, Simd(mode)).Solve();
       const std::string context = "seed " + std::to_string(seed) +
                                   " trial " + std::to_string(trial) + " " +
-                                  PricingRuleName(rule);
+                                  SimdName(mode);
       ExpectAgreement(lp, {}, oracle, r, context);
       if (testing::Test::HasFatalFailure()) return;
     }
@@ -246,21 +248,21 @@ TEST(SimplexDifferential, FiveHundredRandomLpsAgree) {
 // Warm-path differential: re-solve the same matrix at redrawn RHS vectors;
 // the witness/warm/cold cascade must land on the verdict and objective of
 // an oracle cold solve at each RHS (statuses may legitimately change per
-// RHS — infeasible redraws included), under both pricing rules.
+// RHS — infeasible redraws included), under both kernel dispatch modes.
 TEST(SimplexDifferential, RandomResolvesAgree) {
   const uint64_t seed = HarnessSeed() ^ 0x9e3779b97f4a7c15ull;
   Rng rng(seed);
   for (int trial = 0; trial < 60; ++trial) {
     LpProblem lp = RandomLp(rng);
     const LpStatus cold = DenseOracleSolve(lp).status;
-    for (PricingRule rule : kPricingRules) {
-      SimplexTableau revised(lp, Pricing(rule));
+    for (SimdMode mode : kSimdModes) {
+      SimplexTableau revised(lp, Simd(mode));
       if (revised.Solve().status != cold) {
         ADD_FAILURE() << "cold status mismatch, seed " << seed << " trial "
-                      << trial << " " << PricingRuleName(rule);
+                      << trial << " " << SimdName(mode);
         continue;
       }
-      // Both rules replay the same redraws.
+      // Both modes replay the same redraws.
       Rng redraws(seed ^ static_cast<uint64_t>(trial));
       std::vector<double> rhs(lp.num_constraints());
       for (int redraw = 0; redraw < 8; ++redraw) {
@@ -275,7 +277,7 @@ TEST(SimplexDifferential, RandomResolvesAgree) {
         const std::string context =
             "seed " + std::to_string(seed) + " trial " +
             std::to_string(trial) + " redraw " + std::to_string(redraw) +
-            " " + PricingRuleName(rule);
+            " " + SimdName(mode);
         ExpectAgreement(lp, rhs, DenseOracleSolve(lp, rhs), r, context);
         if (testing::Test::HasFatalFailure()) return;
       }
@@ -287,7 +289,7 @@ TEST(SimplexDifferential, RandomResolvesAgree) {
 // refactorize path after every single pivot, so every pivot exercises the
 // update-then-refactorize transition; results must stay in lockstep with
 // the oracle across cold solves and warm re-solves alike, under both
-// pricing rules.
+// kernel dispatch modes.
 TEST(SimplexDifferential, PerPivotRefactorizeStaysInLockstep) {
   const uint64_t seed = HarnessSeed() ^ 0xacceull;
   Rng rng(seed);
@@ -297,7 +299,7 @@ TEST(SimplexDifferential, PerPivotRefactorizeStaysInLockstep) {
     const std::string context = "per-pivot-refactorize seed " +
                                 std::to_string(seed) + " trial " +
                                 std::to_string(trial);
-    // Both rules replay the same redraws.
+    // Both modes replay the same redraws.
     std::vector<std::vector<double>> redraws;
     if (oracle.status == LpStatus::kOptimal) {
       for (int redraw = 0; redraw < 4; ++redraw) {
@@ -310,19 +312,18 @@ TEST(SimplexDifferential, PerPivotRefactorizeStaysInLockstep) {
         redraws.push_back(std::move(rhs));
       }
     }
-    for (PricingRule rule : kPricingRules) {
-      SimplexOptions churn = Pricing(rule);
+    for (SimdMode mode : kSimdModes) {
+      SimplexOptions churn = Simd(mode);
       churn.max_basis_updates = 1;
       SimplexTableau revised(lp, churn);
-      const std::string rule_context =
-          context + " " + PricingRuleName(rule);
-      ExpectAgreement(lp, {}, oracle, revised.Solve(), rule_context);
+      const std::string mode_context = context + " " + SimdName(mode);
+      ExpectAgreement(lp, {}, oracle, revised.Solve(), mode_context);
       if (testing::Test::HasFatalFailure()) return;
       for (size_t redraw = 0; redraw < redraws.size(); ++redraw) {
         const std::vector<double>& rhs = redraws[redraw];
         ExpectAgreement(lp, rhs, DenseOracleSolve(lp, rhs),
                         revised.ResolveWithRhs(rhs),
-                        rule_context + " redraw " + std::to_string(redraw));
+                        mode_context + " redraw " + std::to_string(redraw));
         if (testing::Test::HasFatalFailure()) return;
       }
     }
@@ -347,11 +348,7 @@ TEST(SimplexDifferential, PerturbationDoesNotMaskNearInfeasibility) {
   // phase-1 tolerance. Perturbed: x1 in [~4.1e-6, ~5.1e-6] — feasible,
   // and max x0 is then unbounded.
   EXPECT_EQ(DenseOracleSolve(lp).status, LpStatus::kInfeasible);
-  for (PricingRule rule : kPricingRules) {
-    EXPECT_EQ(SimplexTableau(lp, Pricing(rule)).Solve().status,
-              LpStatus::kInfeasible)
-        << PricingRuleName(rule);
-  }
+  EXPECT_EQ(SimplexTableau(lp).Solve().status, LpStatus::kInfeasible);
 }
 
 // ---------------------------------------------------------------------------
@@ -376,25 +373,20 @@ TEST(SimplexDifferential, GammaCuttingPlaneMatchesOracleFullLattice) {
           RandomSimpleStats(rng, n, 2 + n);
       // Reference: the oracle over the fully materialized lattice.
       const LpResult reference = DenseOracleSolve(FullLatticeLp(n, stats));
-      // Under test: the full-lattice and the cutting-plane (forced) modes,
-      // under both pricing rules (the rule steers cold cut growth).
+      // Under test: the full-lattice and the cutting-plane (forced) modes.
       for (int full_lattice_max_n : {8, 2}) {
-        for (PricingRule rule : kPricingRules) {
-          EngineOptions options;
-          options.full_lattice_max_n = full_lattice_max_n;
-          options.simplex.pricing = rule;
-          const BoundResult result = ComputeBound("gamma", n, stats, options);
-          const std::string context =
-              "seed " + std::to_string(seed) + " n " + std::to_string(n) +
-              " trial " + std::to_string(trial) +
-              (full_lattice_max_n >= n ? " full lattice " : " cutting plane ") +
-              PricingRuleName(rule);
-          ASSERT_EQ(result.status, reference.status) << context;
-          if (reference.status == LpStatus::kOptimal) {
-            EXPECT_NEAR(result.log2_bound, reference.objective,
-                        1e-6 * std::max(1.0, std::abs(reference.objective)))
-                << context;
-          }
+        EngineOptions options;
+        options.full_lattice_max_n = full_lattice_max_n;
+        const BoundResult result = ComputeBound("gamma", n, stats, options);
+        const std::string context =
+            "seed " + std::to_string(seed) + " n " + std::to_string(n) +
+            " trial " + std::to_string(trial) +
+            (full_lattice_max_n >= n ? " full lattice" : " cutting plane");
+        ASSERT_EQ(result.status, reference.status) << context;
+        if (reference.status == LpStatus::kOptimal) {
+          EXPECT_NEAR(result.log2_bound, reference.objective,
+                      1e-6 * std::max(1.0, std::abs(reference.objective)))
+              << context;
         }
       }
     }
@@ -420,52 +412,46 @@ TEST(SimplexDifferential, WarmCutAppendsMatchColdCutGrowth) {
     Rng rng(base_seed ^ salt);
     const int n = 6;
     const std::vector<ConcreteStatistic> stats = RandomSimpleStats(rng, n, 8);
-    for (PricingRule rule : kPricingRules) {
-      EngineOptions cut;
-      cut.full_lattice_max_n = 3;  // force cutting-plane mode
-      cut.simplex.pricing = rule;
+    EngineOptions cut;
+    cut.full_lattice_max_n = 3;  // force cutting-plane mode
 
-      cut.simplex.cut_warm_start = CutWarmStart::kOn;
-      auto warm_bound =
-          FindBoundEngine("gamma")->Compile(StructureOf(n, stats), cut);
-      cut.simplex.cut_warm_start = CutWarmStart::kOff;
-      auto cold_bound =
-          FindBoundEngine("gamma")->Compile(StructureOf(n, stats), cut);
+    cut.simplex.cut_warm_start = CutWarmStart::kOn;
+    auto warm_bound =
+        FindBoundEngine("gamma")->Compile(StructureOf(n, stats), cut);
+    cut.simplex.cut_warm_start = CutWarmStart::kOff;
+    auto cold_bound =
+        FindBoundEngine("gamma")->Compile(StructureOf(n, stats), cut);
 
-      const std::string context = "seed " +
-                                  std::to_string(base_seed ^ salt) + " " +
-                                  PricingRuleName(rule);
-      // Two evaluations per driver: the compile-time values (cold growth
-      // from the seed cuts) and a scaled redraw (typically more growth).
-      std::vector<double> values = ValuesOf(stats);
-      for (int round = 0; round < 2; ++round) {
-        const BoundResult warm = warm_bound->Evaluate(values, false);
-        const BoundResult cold = cold_bound->Evaluate(values, false);
-        ASSERT_EQ(warm.status, cold.status) << context;
-        if (cold.ok()) {
-          EXPECT_NEAR(warm.log2_bound, cold.log2_bound,
-                      1e-6 * std::max(1.0, std::abs(cold.log2_bound)))
-              << context;
-        }
-        // The cold driver must never touch the append path; the warm
-        // driver must have used it whenever it grew the pool.
-        EXPECT_EQ(cold.lp_stats.row_appends, 0) << context;
-        EXPECT_EQ(cold.lp_stats.warm_cut_rounds, 0) << context;
-        if (round == 0 && warm.cut_rounds > 0) {
-          EXPECT_GT(warm.lp_stats.warm_cut_rounds, 0) << context;
-          EXPECT_GT(warm.lp_stats.row_appends, 0) << context;
-        }
-        for (double& v : values) v *= 1.4;
+    const std::string context = "seed " + std::to_string(base_seed ^ salt);
+    // Two evaluations per driver: the compile-time values (cold growth
+    // from the seed cuts) and a scaled redraw (typically more growth).
+    std::vector<double> values = ValuesOf(stats);
+    for (int round = 0; round < 2; ++round) {
+      const BoundResult warm = warm_bound->Evaluate(values, false);
+      const BoundResult cold = cold_bound->Evaluate(values, false);
+      ASSERT_EQ(warm.status, cold.status) << context;
+      if (cold.ok()) {
+        EXPECT_NEAR(warm.log2_bound, cold.log2_bound,
+                    1e-6 * std::max(1.0, std::abs(cold.log2_bound)))
+            << context;
       }
+      // The cold driver must never touch the append path; the warm
+      // driver must have used it whenever it grew the pool.
+      EXPECT_EQ(cold.lp_stats.row_appends, 0) << context;
+      EXPECT_EQ(cold.lp_stats.warm_cut_rounds, 0) << context;
+      if (round == 0 && warm.cut_rounds > 0) {
+        EXPECT_GT(warm.lp_stats.warm_cut_rounds, 0) << context;
+        EXPECT_GT(warm.lp_stats.row_appends, 0) << context;
+      }
+      for (double& v : values) v *= 1.4;
     }
   }
 }
 
 // Forrest–Tomlin long-chain differential: with the update budget raised,
 // one solve carries 100+ FT updates between refactorizations, and the
-// factorization must stay accurate across the whole chain — both pricing
-// rules, verified against the exact normal-polymatroid bound (the oracle
-// on the Nn LP).
+// factorization must stay accurate across the whole chain, verified
+// against the exact normal-polymatroid bound (the oracle on the Nn LP).
 TEST(SimplexDifferential, ForrestTomlinCarriesLongUpdateChains) {
   Rng rng(HarnessSeed() ^ 0xfeedull);
   const int n = 7;
@@ -473,29 +459,25 @@ TEST(SimplexDifferential, ForrestTomlinCarriesLongUpdateChains) {
   const LpResult reference = DenseOracleSolve(BuildNormalBoundLp(n, stats));
   ASSERT_EQ(reference.status, LpStatus::kOptimal);
 
-  for (PricingRule rule : kPricingRules) {
-    EngineOptions cut;
-    cut.full_lattice_max_n = 4;  // force cutting-plane mode
-    cut.simplex.pricing = rule;
-    cut.simplex.max_basis_updates = 100000;  // budget >> any solve's pivots
-    auto compiled =
-        FindBoundEngine("gamma")->Compile(StructureOf(n, stats), cut);
-    BoundResult result = compiled->Evaluate(ValuesOf(stats));
-    const std::string context =
-        std::string("long-chain ") + PricingRuleName(rule);
-    ASSERT_EQ(result.status, LpStatus::kOptimal) << context;
-    EXPECT_NEAR(result.log2_bound, reference.objective,
-                1e-6 * std::max(1.0, std::abs(reference.objective)))
-        << context;
-    // The chains actually ran long: hundreds of FT updates total, and the
-    // only refactorizations left are fill-budget or stability-forced ones
-    // — far fewer than the update count.
-    EXPECT_GE(result.lp_stats.ft_updates, 100) << context;
-    EXPECT_LT(result.lp_stats.refactorizations,
-              result.lp_stats.ft_updates / 50 + 5)
-        << context << " refac=" << result.lp_stats.refactorizations
-        << " ft=" << result.lp_stats.ft_updates;
-  }
+  EngineOptions cut;
+  cut.full_lattice_max_n = 4;  // force cutting-plane mode
+  cut.simplex.max_basis_updates = 100000;  // budget >> any solve's pivots
+  auto compiled =
+      FindBoundEngine("gamma")->Compile(StructureOf(n, stats), cut);
+  BoundResult result = compiled->Evaluate(ValuesOf(stats));
+  const char* context = "long-chain";
+  ASSERT_EQ(result.status, LpStatus::kOptimal) << context;
+  EXPECT_NEAR(result.log2_bound, reference.objective,
+              1e-6 * std::max(1.0, std::abs(reference.objective)))
+      << context;
+  // The chains actually ran long: hundreds of FT updates total, and the
+  // only refactorizations left are fill-budget or stability-forced ones
+  // — far fewer than the update count.
+  EXPECT_GE(result.lp_stats.ft_updates, 100) << context;
+  EXPECT_LT(result.lp_stats.refactorizations,
+            result.lp_stats.ft_updates / 50 + 5)
+      << context << " refac=" << result.lp_stats.refactorizations
+      << " ft=" << result.lp_stats.ft_updates;
 }
 
 // The acceptance bar from the roadmap: the revised simplex compiles and
@@ -512,28 +494,25 @@ TEST(SimplexDifferential, RevisedCompilesGammaCuttingPlaneAtN8) {
 
   const BoundEngine* gamma = FindBoundEngine("gamma");
   ASSERT_NE(gamma, nullptr);
-  for (PricingRule rule : kPricingRules) {
-    EngineOptions cut;
-    cut.full_lattice_max_n = 4;  // force cutting-plane mode at n = 8
-    cut.simplex.pricing = rule;
-    const char* context = PricingRuleName(rule);
-    auto compiled = gamma->Compile(StructureOf(n, stats), cut);
-    BoundResult result = compiled->Evaluate(ValuesOf(stats));
-    ASSERT_EQ(result.status, LpStatus::kOptimal) << context;
-    EXPECT_NEAR(result.log2_bound, reference.objective,
-                1e-6 * std::max(1.0, std::abs(reference.objective)))
-        << context;
+  EngineOptions cut;
+  cut.full_lattice_max_n = 4;  // force cutting-plane mode at n = 8
+  const char* context = "n = 8";
+  auto compiled = gamma->Compile(StructureOf(n, stats), cut);
+  BoundResult result = compiled->Evaluate(ValuesOf(stats));
+  ASSERT_EQ(result.status, LpStatus::kOptimal) << context;
+  EXPECT_NEAR(result.log2_bound, reference.objective,
+              1e-6 * std::max(1.0, std::abs(reference.objective)))
+      << context;
 
-    // Compile-once / evaluate-many: scaled values re-price against the
-    // cached factorized basis without recompiling the cut set.
-    std::vector<double> scaled = ValuesOf(stats);
-    for (double& v : scaled) v *= 1.05;
-    BoundResult rescored = compiled->Evaluate(scaled, /*want_h_opt=*/false);
-    ASSERT_EQ(rescored.status, LpStatus::kOptimal) << context;
-    EXPECT_NEAR(rescored.log2_bound, reference.objective * 1.05,
-                1e-5 * std::max(1.0, std::abs(reference.objective)))
-        << context;
-  }
+  // Compile-once / evaluate-many: scaled values re-price against the
+  // cached factorized basis without recompiling the cut set.
+  std::vector<double> scaled = ValuesOf(stats);
+  for (double& v : scaled) v *= 1.05;
+  BoundResult rescored = compiled->Evaluate(scaled, /*want_h_opt=*/false);
+  ASSERT_EQ(rescored.status, LpStatus::kOptimal) << context;
+  EXPECT_NEAR(rescored.log2_bound, reference.objective * 1.05,
+              1e-5 * std::max(1.0, std::abs(reference.objective)))
+      << context;
 }
 
 }  // namespace
